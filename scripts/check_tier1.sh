@@ -15,8 +15,9 @@
 #      still served), and a fixed-seed transect chaos smoke (crash
 #      mid-rebalance, bitrot isolation + repair, eviction-error
 #      surfacing)
-#   4. an AddressSanitizer build running the streaming-ingest and storage
-#      suites (the subsystems that serialize/restore raw state blobs)
+#   4. an AddressSanitizer build running the streaming-ingest, storage,
+#      SegDiff and Exh store suites (the subsystems that serialize/restore
+#      raw state blobs through the shared FeatureStore lifecycle)
 #      plus the `faults` and `governance` ctest groups (crash-recovery,
 #      fault injection, and cancellation — the error paths that exercise
 #      partially-initialized and partially-released state)
@@ -181,11 +182,11 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
   echo "== asan: configure + build (streaming + storage + fault suites) =="
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
-    streaming_ingest_test storage_test segdiff_index_test \
+    streaming_ingest_test storage_test segdiff_index_test exh_naive_test \
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

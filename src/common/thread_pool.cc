@@ -145,4 +145,26 @@ Status ThreadPool::ParallelFor(size_t n, const QueryContext* ctx,
   return state->errors.status();
 }
 
+void SharedPool::Lease::Release() {
+  if (owner_ != nullptr) {
+    std::lock_guard<std::mutex> lock(owner_->mu_);
+    --owner_->users_;
+  }
+  owner_ = nullptr;
+  pool_ = nullptr;
+}
+
+SharedPool::Lease SharedPool::Acquire(size_t num_threads) {
+  if (num_threads <= 1) {
+    return Lease();
+  }
+  const size_t workers = num_threads - 1;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pool_ == nullptr || (pool_->size() != workers && users_ == 0)) {
+    pool_ = std::make_unique<ThreadPool>(workers);
+  }
+  ++users_;
+  return Lease(this, pool_.get());
+}
+
 }  // namespace segdiff

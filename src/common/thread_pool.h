@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -101,6 +102,62 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;
   size_t in_flight_ = 0;  ///< tasks dequeued but not yet finished
   bool stop_ = false;
+};
+
+/// A lazily created pool shared by an object's concurrent fan-outs (one
+/// per store or transect). Each fan-out leases it for its duration; the
+/// pool is sized `num_threads - 1` workers, since the calling thread
+/// participates in every ParallelFor. Resizing destroys the pool
+/// (joining its workers), so it only happens while nobody holds a
+/// lease; concurrent users asking for another width share whatever
+/// exists — ParallelFor spreads over the workers there are, so only the
+/// parallelism degree differs, never the results.
+class SharedPool {
+ public:
+  /// RAII use of the pool: releasing (destruction) drops the user count.
+  /// An empty lease (serial work) holds no pool.
+  class Lease {
+   public:
+    Lease() = default;
+    ~Lease() { Release(); }
+    Lease(Lease&& other) noexcept
+        : owner_(other.owner_), pool_(other.pool_) {
+      other.owner_ = nullptr;
+      other.pool_ = nullptr;
+    }
+    Lease& operator=(Lease&& other) noexcept {
+      if (this != &other) {
+        Release();
+        owner_ = other.owner_;
+        pool_ = other.pool_;
+        other.owner_ = nullptr;
+        other.pool_ = nullptr;
+      }
+      return *this;
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    /// The leased pool; null for an empty lease.
+    ThreadPool* get() const { return pool_; }
+    void Release();
+
+   private:
+    friend class SharedPool;
+    Lease(SharedPool* owner, ThreadPool* pool) : owner_(owner), pool_(pool) {}
+
+    SharedPool* owner_ = nullptr;
+    ThreadPool* pool_ = nullptr;
+  };
+
+  /// Leases the pool for a `num_threads`-wide fan-out, creating or
+  /// resizing it as needed. `num_threads` <= 1 returns an empty lease.
+  Lease Acquire(size_t num_threads);
+
+ private:
+  std::mutex mu_;  ///< guards pool_ + users_
+  std::unique_ptr<ThreadPool> pool_;
+  size_t users_ = 0;  ///< leases currently held
 };
 
 /// Fan-out with ordered result collection: invokes `fn(i, &(*out)[i])`

@@ -145,6 +145,48 @@ Status IndexScan(const Table& table, const IndexScanSpec& spec,
                  const Predicate& residual, const RowCallback& callback,
                  ScanStats* stats = nullptr);
 
+/// Result collection for a search: a RowCallback that charges `budget`
+/// (may be null) one `Row` per match — a breach fails the scan with the
+/// budget's ResourceExhausted, and through the shared budget every
+/// sibling scan — then appends `decode(record)` to `out`.
+template <typename Row, typename Decode>
+RowCallback CollectRows(std::vector<Row>* out, MemoryBudget* budget,
+                        Decode decode) {
+  return [out, budget, decode](const char* record, RecordId) -> Status {
+    if (budget != nullptr && !budget->Charge(sizeof(Row))) {
+      return budget->Exceeded();
+    }
+    out->push_back(decode(record));
+    return Status::OK();
+  };
+}
+
+/// SeqScan collecting decoded matches into `out` (see CollectRows):
+/// serial on the calling thread when `pool` is null, otherwise a
+/// ParallelSeqScan over `num_partitions` partitions whose private
+/// results are appended in partition order — also on failure, so a
+/// budget-truncated scan keeps what every partition collected.
+template <typename Row, typename Decode>
+Status CollectSeqScan(const Table& table, const Predicate& predicate,
+                      ThreadPool* pool, size_t num_partitions,
+                      MemoryBudget* budget, const Decode& decode,
+                      std::vector<Row>* out, ScanStats* stats,
+                      const SeqScanOptions& options) {
+  if (pool == nullptr) {
+    return SeqScan(table, predicate, CollectRows(out, budget, decode), stats,
+                   options);
+  }
+  std::vector<std::vector<Row>> parts(num_partitions);
+  Status status = ParallelSeqScan(
+      table, predicate, pool, num_partitions,
+      [&](size_t p) { return CollectRows(&parts[p], budget, decode); }, stats,
+      options);
+  for (const std::vector<Row>& part : parts) {
+    out->insert(out->end(), part.begin(), part.end());
+  }
+  return status;
+}
+
 }  // namespace segdiff
 
 #endif  // SEGDIFF_QUERY_EXECUTOR_H_

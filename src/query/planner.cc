@@ -2,48 +2,55 @@
 
 #include <algorithm>
 
-namespace segdiff {
+#include "query/predicate.h"
+#include "query/scan_kernel.h"
+#include "storage/snapshot.h"
 
-PlanChoice ChooseAccessPath(uint64_t row_count, double leading_lo,
-                            double leading_hi, double query_hi,
-                            bool index_available,
-                            const PlannerOptions& options) {
-  PlanChoice choice;
-  if (!index_available || row_count == 0) {
-    choice.path = AccessPath::kSeqScan;
-    choice.estimated_selectivity = 1.0;
-    return choice;
+namespace segdiff {
+namespace {
+
+// Cost-model constants, in relative units where reading one heap page
+// sequentially costs 1. Index entries are cheap (cache-dense leaf
+// walks); each candidate heap fetch is a random page read, the
+// classical reason secondary-index access loses on dense queries
+// (paper Figures 10-11).
+constexpr double kSeqPageCost = 1.0;
+constexpr double kIndexEntryCost = 0.001;
+constexpr double kRandomFetchCost = 4.0;
+
+/// Estimated fraction of rows satisfying `cond`, assuming a uniform
+/// distribution over the column's observed [lo, hi]. A NaN query bound
+/// propagates into the result, which ChooseAccessPath rejects (falling
+/// back to the sequential scan).
+double ConditionFraction(const ZoneMap::ColumnRange& range,
+                         const ColumnCondition& cond) {
+  if (!(range.lo <= range.hi)) {
+    return 1.0;  // column never observed: no evidence to plan on
   }
-  // Untrustworthy statistics — an inverted range (stats never collected,
-  // or collected from conflicting snapshots) or any NaN — must not flow
-  // into the selectivity arithmetic below: a NaN fails every comparison
-  // and would fall through to the degenerate branch, where
-  // `query_hi >= leading_lo` being false yields selectivity 0 and wrongly
-  // picks the index for what may be the whole table. Fall back to the
-  // always-correct sequential scan instead.
-  if (!(leading_lo <= leading_hi) || !(query_hi == query_hi)) {
-    choice.path = AccessPath::kSeqScan;
-    choice.estimated_selectivity = 1.0;
-    return choice;
+  const double width = range.hi - range.lo;
+  switch (cond.op) {
+    case CmpOp::kLt:
+    case CmpOp::kLe:
+      if (width <= 0.0) {
+        return cond.value >= range.lo ? 1.0 : 0.0;
+      }
+      return std::clamp((cond.value - range.lo) / width, 0.0, 1.0);
+    case CmpOp::kGt:
+    case CmpOp::kGe:
+      if (width <= 0.0) {
+        return cond.value <= range.lo ? 1.0 : 0.0;
+      }
+      return std::clamp((range.hi - cond.value) / width, 0.0, 1.0);
+    case CmpOp::kEq:
+      return (cond.value >= range.lo && cond.value <= range.hi) ? 0.1 : 0.0;
   }
-  double selectivity = 1.0;
-  if (leading_hi > leading_lo) {
-    selectivity = (query_hi - leading_lo) / (leading_hi - leading_lo);
-    selectivity = std::clamp(selectivity, 0.0, 1.0);
-  } else {
-    // Degenerate zero-width column: a single distinct value; the range
-    // either covers it entirely or not at all.
-    selectivity = query_hi >= leading_lo ? 1.0 : 0.0;
-  }
-  choice.estimated_selectivity = selectivity;
-  choice.path = selectivity <= options.index_selectivity_threshold
-                    ? AccessPath::kIndexScan
-                    : AccessPath::kSeqScan;
-  return choice;
+  return 1.0;
 }
 
-PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
-                            const PlannerOptions& options) {
+}  // namespace
+
+PlanChoice ChooseAccessPath(const TableStatsView& stats,
+                            bool index_available) {
   PlanChoice choice;
   choice.estimated_selectivity = 1.0;
   if (!index_available || stats.row_count == 0) {
@@ -60,15 +67,84 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
   choice.estimated_selectivity = stats.index_entry_fraction;
   const double rows = static_cast<double>(stats.row_count);
   const double seq_cost =
-      static_cast<double>(stats.pages_after_pruning) * options.seq_page_cost;
+      static_cast<double>(stats.pages_after_pruning) * kSeqPageCost;
   const double index_cost =
-      stats.index_entry_fraction * rows * options.index_entry_cost +
-      stats.heap_fetch_fraction * rows * options.random_fetch_cost *
+      stats.index_entry_fraction * rows * kIndexEntryCost +
+      stats.heap_fetch_fraction * rows * kRandomFetchCost *
           stats.random_fetch_cost_scale;
   if (index_cost < seq_cost) {
     choice.path = AccessPath::kIndexScan;
   }
   return choice;
+}
+
+PlanChoice PlanRangeQuery(const TableSnapshotView& view,
+                          const ColumnStore* columnar,
+                          const Predicate& predicate, bool index_available) {
+  const ZoneMap* zone_map = view.zone_map.get();
+  const std::vector<ColumnCondition>& conditions = predicate.conditions();
+  if (!index_available || conditions.empty() ||
+      (zone_map == nullptr && columnar == nullptr)) {
+    return PlanChoice{};  // nothing to price: always-correct default
+  }
+  // Price the sequential side at what the pruned scan will actually
+  // evaluate — heap pages surviving the zone map plus columnar pages
+  // surviving the segment directory — and the index side from real
+  // per-column ranges over both formats.
+  TableStatsView stats;
+  stats.row_count = view.heap_meta.record_count +
+                    (columnar != nullptr ? columnar->row_count() : 0);
+  stats.pages_total = view.heap_meta.page_count;
+  stats.pages_after_pruning = stats.pages_total;
+  if (zone_map != nullptr) {
+    const ZoneSurvey survey = SurveyZones(*zone_map, conditions);
+    // Pages without a zone (e.g. crash-recovered tails) cannot be
+    // pruned; keep them on the sequential side's bill.
+    stats.pages_after_pruning =
+        survey.zones_surviving + (stats.pages_total > survey.zones_total
+                                      ? stats.pages_total - survey.zones_total
+                                      : 0);
+  }
+  if (columnar != nullptr) {
+    const ColumnarSurvey survey = SurveyColumnarSegments(*columnar, conditions);
+    stats.pages_total += survey.pages_total;
+    stats.pages_after_pruning += survey.pages_surviving;
+    const uint64_t col_rows = columnar->row_count();
+    if (stats.row_count > 0) {
+      stats.random_fetch_cost_scale =
+          (static_cast<double>(stats.row_count - col_rows) +
+           kColumnarFetchCostScale * static_cast<double>(col_rows)) /
+          static_cast<double>(stats.row_count);
+    }
+  }
+  // Per-column global ranges, merged across formats.
+  auto global_range = [&](size_t column) {
+    ZoneMap::ColumnRange range{1.0, -1.0, false};
+    if (zone_map != nullptr) {
+      range = zone_map->GlobalRange(column);
+    }
+    if (columnar != nullptr) {
+      const ZoneMap::ColumnRange cr = ColumnarGlobalRange(*columnar, column);
+      if (cr.lo <= cr.hi) {
+        if (range.lo <= range.hi) {
+          range.lo = std::min(range.lo, cr.lo);
+          range.hi = std::max(range.hi, cr.hi);
+        } else {
+          range.lo = cr.lo;
+          range.hi = cr.hi;
+        }
+      }
+      range.has_nan = range.has_nan || cr.has_nan;
+    }
+    return range;
+  };
+  stats.index_entry_fraction = ConditionFraction(
+      global_range(conditions.front().column), conditions.front());
+  for (const ColumnCondition& cond : conditions) {
+    stats.heap_fetch_fraction *=
+        ConditionFraction(global_range(cond.column), cond);
+  }
+  return ChooseAccessPath(stats, index_available);
 }
 
 }  // namespace segdiff

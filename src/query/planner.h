@@ -1,10 +1,9 @@
-// Minimal access-path planner.
+// Access-path planner.
 //
 // The paper evaluates sequential scan and index access separately and
 // observes the crossover: index access loses once a query matches a
 // large fraction of rows (random heap fetches dominate). The planner
-// encodes that rule of thumb: pick the index only when the estimated
-// selectivity of the leading index column range is below a threshold.
+// prices both sides from per-query statistics and picks the cheaper.
 
 #ifndef SEGDIFF_QUERY_PLANNER_H_
 #define SEGDIFF_QUERY_PLANNER_H_
@@ -13,6 +12,10 @@
 
 namespace segdiff {
 
+class ColumnStore;
+class Predicate;
+struct TableSnapshotView;
+
 enum class AccessPath : unsigned char { kSeqScan, kIndexScan };
 
 struct PlanChoice {
@@ -20,37 +23,11 @@ struct PlanChoice {
   double estimated_selectivity = 1.0;
 };
 
-struct PlannerOptions {
-  /// Use the index when the estimated fraction of scanned index entries
-  /// is below this. ~10% mirrors the classical secondary-index rule.
-  double index_selectivity_threshold = 0.10;
-
-  /// Cost-model constants for the zone-map-aware overload, in relative
-  /// units where reading one heap page sequentially costs 1. Index
-  /// entries are cheap (cache-dense leaf walks); each candidate heap
-  /// fetch is a random page read, the classical reason secondary-index
-  /// access loses on dense queries (paper Figures 10-11).
-  double seq_page_cost = 1.0;
-  double index_entry_cost = 0.001;
-  double random_fetch_cost = 4.0;
-};
-
-/// `leading_lo`/`leading_hi`: observed min/max of the leading index
-/// column; `query_hi`: the query's upper bound on that column (range
-/// [leading_lo, query_hi]). Index must exist for kIndexScan to be chosen.
-/// Malformed statistics (inverted range, NaN anywhere) fall back to a
-/// sequential scan; a zero-width range (single distinct value) is legal
-/// and treated as all-or-nothing.
-PlanChoice ChooseAccessPath(uint64_t row_count, double leading_lo,
-                            double leading_hi, double query_hi,
-                            bool index_available,
-                            const PlannerOptions& options = {});
-
-/// Zone-map-derived statistics for the cost-based overload. The page
-/// counts come from a per-query zone survey (SurveyZones), so the
-/// sequential side is priced at what the pruned scan will actually
-/// read; the fractions estimate the index side from real per-column
-/// ranges instead of a single leading-column guess.
+/// Zone-map-derived statistics for the cost model. The page counts come
+/// from a per-query zone survey (SurveyZones), so the sequential side
+/// is priced at what the pruned scan will actually read; the fractions
+/// estimate the index side from real per-column ranges instead of a
+/// single leading-column guess.
 struct TableStatsView {
   uint64_t row_count = 0;
   uint64_t pages_total = 0;
@@ -62,11 +39,12 @@ struct TableStatsView {
   /// Estimated fraction of rows surviving every key-column bound — each
   /// one costs a random heap fetch on the index path.
   double heap_fetch_fraction = 1.0;
-  /// Multiplier on random_fetch_cost for this table's row mix. A random
-  /// fetch into a compressed columnar segment decodes a whole segment
-  /// (amortized by the store's one-segment cache, but still far pricier
-  /// than a heap page read); callers set this to the row-weighted mean
-  /// of 1.0 (heap rows) and kColumnarFetchCostScale (columnar rows).
+  /// Multiplier on the random-fetch cost for this table's row mix. A
+  /// random fetch into a compressed columnar segment decodes a whole
+  /// segment (amortized by the store's one-segment cache, but still far
+  /// pricier than a heap page read); callers set this to the
+  /// row-weighted mean of 1.0 (heap rows) and kColumnarFetchCostScale
+  /// (columnar rows).
   double random_fetch_cost_scale = 1.0;
 };
 
@@ -78,8 +56,19 @@ inline constexpr double kColumnarFetchCostScale = 4.0;
 /// random heap fetches. Malformed statistics (NaN or out-of-range
 /// fractions) fall back to the always-correct sequential scan.
 /// estimated_selectivity reports the index-entry fraction.
-PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
-                            const PlannerOptions& options = {});
+PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available);
+
+/// Plans one range query (the conjunction `predicate`, whose leading
+/// condition bounds the index's leading key column) against a table as
+/// frozen in `view`, plus its immutable columnar segments (`columnar`,
+/// may be null). Surveys the zone map and the segment directory for the
+/// pages the pruned scan would read, merges the per-column global
+/// ranges across both formats for the selectivity estimates, and
+/// prices the two paths with ChooseAccessPath. A table with neither
+/// statistic plans a sequential scan.
+PlanChoice PlanRangeQuery(const TableSnapshotView& view,
+                          const ColumnStore* columnar,
+                          const Predicate& predicate, bool index_available);
 
 }  // namespace segdiff
 

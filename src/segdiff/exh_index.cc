@@ -4,12 +4,8 @@
 #include <limits>
 
 #include "common/bytes.h"
-#include "common/stopwatch.h"
 #include "query/planner.h"
 #include "query/predicate.h"
-#include "query/scan_kernel.h"
-#include "storage/snapshot.h"
-#include "storage/wal.h"
 
 namespace segdiff {
 namespace {
@@ -21,10 +17,18 @@ constexpr char kIngestStateKey[] = "exh.ingest";
 constexpr uint32_t kIngestStateMagic = 0x4558494E;  // "EXIN"
 constexpr uint32_t kIngestStateVersion = 1;
 
+ExhEvent DecodeEvent(const char* record) {
+  ExhEvent event;
+  event.dv = DecodeDoubleColumn(record, 1);
+  event.t_start = DecodeDoubleColumn(record, 2);
+  event.t_end = event.t_start + DecodeDoubleColumn(record, 0);
+  return event;
+}
+
 }  // namespace
 
-ExhIndex::ExhIndex(ExhOptions options)
-    : options_(options), admission_(options_.admission) {}
+ExhIndex::ExhIndex(const ExhOptions& options)
+    : FeatureStore(options, kIngestStateKey), options_(options) {}
 
 Result<std::unique_ptr<ExhIndex>> ExhIndex::Open(const std::string& path,
                                                  const ExhOptions& options) {
@@ -32,34 +36,14 @@ Result<std::unique_ptr<ExhIndex>> ExhIndex::Open(const std::string& path,
     return Status::InvalidArgument("window_s must be positive");
   }
   std::unique_ptr<ExhIndex> index(new ExhIndex(options));
-  Status status = index->OpenImpl(path);
-  if (!status.ok()) {
-    // A failed open must not mutate the store: the destructor will not
-    // save (default/partial) ingest state over the persisted blob, and
-    // abandoning the database handle discards its dirty pages instead
-    // of checkpointing them on close.
-    if (index->db_ != nullptr) {
-      index->db_->Abandon();
-    }
-    return status;
-  }
-  index->opened_ = true;
+  SEGDIFF_RETURN_IF_ERROR(
+      index->OpenStore(path, options, /*create_if_missing=*/true));
   return index;
 }
 
-Status ExhIndex::OpenImpl(const std::string& path) {
-  DatabaseOptions db_options;
-  db_options.buffer_pool_pages = options_.buffer_pool_pages;
-  db_options.sim_seq_read_ns = options_.sim_seq_read_ns;
-  db_options.sim_random_read_ns = options_.sim_random_read_ns;
-  db_options.vfs = options_.vfs;
-  db_options.verify_checksums = options_.verify_checksums;
-  db_options.wal = options_.wal;
-  db_options.wal_group_commit_ms = options_.wal_group_commit_ms;
-  // Appends log the observation itself as the redo record; the pair
-  // rows derived from it are re-derived on replay, not logged.
-  db_options.wal_observation_log = true;
-  SEGDIFF_ASSIGN_OR_RETURN(db_, Database::Open(path, db_options));
+ExhIndex::~ExhIndex() { CloseStore(); }
+
+Status ExhIndex::OpenImpl() {
   if (db_->tables().empty()) {
     SEGDIFF_ASSIGN_OR_RETURN(TableSchema schema,
                              DoubleSchema({"dt", "dv", "t"}));
@@ -72,106 +56,30 @@ Status ExhIndex::OpenImpl(const std::string& path) {
     SEGDIFF_ASSIGN_OR_RETURN(table_, db_->GetTable("exh"));
     options_.build_index = !table_->indexes().empty();
   }
-  SEGDIFF_RETURN_IF_ERROR(RestoreIngestState());
-  return DrainRecoveredOps();
+  return RestoreIngestState();
 }
 
-Status ExhIndex::DrainRecoveredOps() {
-  if (!db_->HasRecoveredOps()) {
-    return Status::OK();
+Status ExhIndex::IngestStep(double t, double v) {
+  // window_ persists across calls (and reopens): an append boundary
+  // must not lose the pairs between the retained tail and this
+  // observation.
+  if (!window_.empty() && t <= window_.back().t) {
+    return Status::InvalidArgument(
+        "chunked ingest requires strictly increasing time stamps");
   }
-  std::vector<WalRecord> ops = db_->TakeRecoveredOps();
-  // Replay through the normal append path, suspended so nothing is
-  // logged twice; see SegDiffIndex::DrainRecoveredOps for why already-
-  // absorbed observations are skipped rather than treated as errors.
-  // kFlush is a no-op for Exh: pairs materialize eagerly on append.
-  Wal::Suspend suspend(db_->wal());
-  for (const WalRecord& op : ops) {
-    if (op.type == WalRecordType::kFlush) {
-      continue;
-    }
-    SEGDIFF_ASSIGN_OR_RETURN(WalObservation obs,
-                             DecodeWalObservation(op.payload));
-    Status status = AppendObservation(obs.t, obs.v);
-    if (status.IsInvalidArgument()) {
-      continue;  // already absorbed before the crash
-    }
-    SEGDIFF_RETURN_IF_ERROR(status);
+  while (!window_.empty() && t - window_.front().t > options_.window_s) {
+    window_.pop_front();
   }
+  for (const Sample& earlier : window_) {
+    SEGDIFF_RETURN_IF_ERROR(
+        table_->InsertDoubles({t - earlier.t, v - earlier.v, earlier.t})
+            .status());
+  }
+  window_.push_back(Sample{t, v});
   return Status::OK();
 }
 
-ExhIndex::~ExhIndex() {
-  // Only a fully-opened index saves state: after a failed Open the
-  // window is default/partially restored, and writing it back would
-  // destroy the persisted resume point (and mask the corruption).
-  if (opened_) {
-    SaveIngestState();  // db_'s destructor checkpoints the catalog
-  }
-}
-
-Status ExhIndex::AppendObservation(double t, double v) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status status = [&]() -> Status {
-    if (db_->degraded()) {
-      // Degraded stores are read-only: fail fast with the original cause
-      // instead of burning retries against a full disk.
-      return Status::NoSpace("store is degraded (read-only): " +
-                             db_->GetHealth().degraded_reason);
-    }
-    // window_ persists across calls (and reopens): an append boundary
-    // must not lose the pairs between the retained tail and this
-    // observation.
-    if (!window_.empty() && t <= window_.back().t) {
-      return Status::InvalidArgument(
-          "chunked ingest requires strictly increasing time stamps");
-    }
-    // WAL before data: the observation is the redo record for every pair
-    // row inserted below (a sticky log failure surfaces at the sync).
-    if (db_->wal() != nullptr) {
-      (void)db_->wal()->AppendObservation(t, v);
-    }
-    while (!window_.empty() && t - window_.front().t > options_.window_s) {
-      window_.pop_front();
-    }
-    for (const Sample& earlier : window_) {
-      SEGDIFF_RETURN_IF_ERROR(
-          table_->InsertDoubles({t - earlier.t, v - earlier.v, earlier.t})
-              .status());
-    }
-    window_.push_back(Sample{t, v});
-    ++observations_;
-    return Status::OK();
-  }();
-  if (!status.ok()) {
-    db_->NoteStorageFailure(status);  // no-space flips degraded mode
-  }
-  return status;
-}
-
-Status ExhIndex::FlushPending() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status status = [&]() -> Status {
-    Wal* wal = db_->wal();
-    if (wal == nullptr) {
-      return Status::OK();  // every pair row is already in the table
-    }
-    // Exh has no buffered pending state, so the marker only delimits the
-    // replay boundary; the sync is the durability point (acknowledged
-    // means durable). State is saved first so an auto-checkpoint (which
-    // truncates the log) leaves a consistent resume point.
-    SEGDIFF_RETURN_IF_ERROR(wal->AppendFlushMarker().status());
-    SaveIngestState();
-    SEGDIFF_RETURN_IF_ERROR(wal->Sync());
-    return db_->MaybeAutoCheckpoint();
-  }();
-  if (!status.ok()) {
-    db_->NoteStorageFailure(status);
-  }
-  return status;
-}
-
-void ExhIndex::SaveIngestState() {
+std::string ExhIndex::EncodeIngestState() const {
   ByteWriter w;
   w.U32(kIngestStateMagic);
   w.U32(kIngestStateVersion);
@@ -182,12 +90,7 @@ void ExhIndex::SaveIngestState() {
     w.F64(sample.t);
     w.F64(sample.v);
   }
-  // Suspended: the blob reaches the catalog only via Checkpoint (see
-  // SegDiffIndex::SaveIngestState — a WAL-logged blob would make
-  // recovery skip re-deriving rows that reverted with the data file).
-  Wal::Suspend suspend(db_->wal());
-  // Suspended appends are no-ops, so this PutMeta cannot fail.
-  (void)db_->PutMeta(kIngestStateKey, w.Take());
+  return w.Take();
 }
 
 Status ExhIndex::RestoreIngestState() {
@@ -219,24 +122,6 @@ Status ExhIndex::RestoreIngestState() {
   return Status::OK();
 }
 
-ThreadPool* ExhIndex::EnsurePool(size_t num_threads) {
-  const size_t workers = num_threads - 1;  // the caller participates
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  // Resize only when idle; concurrent searches share the existing pool
-  // (see SegDiffIndex::EnsurePool).
-  if (pool_ == nullptr ||
-      (pool_->size() != workers && pool_users_ == 0)) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  ++pool_users_;
-  return pool_.get();
-}
-
-void ExhIndex::ReleasePool() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  --pool_users_;
-}
-
 Result<std::vector<ExhEvent>> ExhIndex::SearchDrops(
     double T, double V, const SearchOptions& options, SearchStats* stats) {
   if (!(V < 0.0)) {
@@ -256,110 +141,24 @@ Result<std::vector<ExhEvent>> ExhIndex::SearchJumps(
 Result<std::vector<ExhEvent>> ExhIndex::Search(bool drop, double T, double V,
                                                const SearchOptions& options,
                                                SearchStats* stats) {
-  if (!(T > 0.0)) {
-    return Status::InvalidArgument("T must be positive");
-  }
-  if (T > options_.window_s) {
-    return Status::InvalidArgument("T exceeds the configured window w");
-  }
-  Stopwatch stopwatch;
-  SearchStats local;
-
-  // Governance shell — mirrors SegDiffIndex::Search.
-  MemoryBudget budget(options.max_result_bytes);
-  QueryContext ctx;
-  ctx.cancel = options.cancel;
-  ctx.deadline = options.deadline_ms > 0
-                     ? Deadline::Earlier(options.deadline,
-                                         Deadline::AfterMillis(
-                                             options.deadline_ms))
-                     : options.deadline;
-  ctx.budget = &budget;
-
-  Stopwatch admission_watch;
-  Result<AdmissionController::Ticket> ticket =
-      admission_.Admit(ctx, options.priority);
-  if (!ticket.ok()) {
-    admission_.RecordOutcome(ticket.status(), 0, false);
-    return ticket.status();
-  }
-  local.admission_wait_ms = admission_watch.ElapsedMillis();
-
-  const size_t num_threads = options.num_threads <= 1
-                                 ? options.num_threads
-                                 : admission_.ClampThreads(
-                                       options.num_threads);
-
-  // Freeze the point-in-time view the whole search reads. Created under
-  // ingest_mu_ so it lands on an append boundary: it sees exactly the
-  // pair rows of the first snapshot_observations observations.
-  DatabaseSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    snapshot = db_->CreateSnapshot();
-    local.snapshot_observations = observations_;
-  }
-
-  // Callers that pass a stats out-param can observe the partial flag, so
-  // quarantined pages degrade to a flagged partial result; stats-less
-  // callers keep the hard error (see SegDiffIndex::Search).
-  const bool allow_partial = stats != nullptr;
-
-  std::vector<ExhEvent> events;
-  Status run = SearchScan(drop, T, V, options, num_threads, ctx, snapshot,
-                          allow_partial, &events, &local);
-
-  bool truncated = false;
-  if (!run.ok()) {
-    if (run.IsResourceExhausted() && budget.breached() && stats != nullptr) {
-      truncated = true;  // graceful: keep the flagged partial result
-    } else {
-      admission_.RecordOutcome(run, budget.peak(),
-                               run.IsResourceExhausted() &&
-                                   budget.breached());
-      return run;
-    }
-  }
-
-  std::sort(events.begin(), events.end(),
-            [](const ExhEvent& a, const ExhEvent& b) {
-              if (a.t_start != b.t_start) return a.t_start < b.t_start;
-              return a.t_end < b.t_end;
-            });
-  local.pairs_returned = events.size();
-  local.truncated = truncated;
-  local.partial = local.scan.pages_quarantined > 0 ||
-                  local.scan.rows_quarantined > 0;
-  local.result_bytes_peak = budget.peak();
-  local.seconds = stopwatch.ElapsedSeconds();
-  admission_.RecordOutcome(Status::OK(), budget.peak(), truncated);
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return events;
+  return GovernedSearch<ExhEvent>(
+      T, options_.window_s, options, stats,
+      [&](SearchScope& scope, std::vector<ExhEvent>* events) {
+        return SearchScan(drop, T, V, options, scope, events);
+      },
+      [](std::vector<ExhEvent>* events) {
+        std::sort(events->begin(), events->end(),
+                  [](const ExhEvent& a, const ExhEvent& b) {
+                    if (a.t_start != b.t_start) return a.t_start < b.t_start;
+                    return a.t_end < b.t_end;
+                  });
+        return Status::OK();
+      });
 }
 
 Status ExhIndex::SearchScan(bool drop, double T, double V,
-                            const SearchOptions& options, size_t num_threads,
-                            const QueryContext& ctx,
-                            const DatabaseSnapshot& snapshot,
-                            bool allow_partial,
-                            std::vector<ExhEvent>* events,
-                            SearchStats* local) {
-  MemoryBudget* budget = ctx.budget;
-  const RowCallback collect = [events, budget](const char* record,
-                                               RecordId) -> Status {
-    if (budget != nullptr && !budget->Charge(sizeof(ExhEvent))) {
-      return budget->Exceeded();
-    }
-    ExhEvent event;
-    event.dv = DecodeDoubleColumn(record, 1);
-    event.t_start = DecodeDoubleColumn(record, 2);
-    event.t_end = event.t_start + DecodeDoubleColumn(record, 0);
-    events->push_back(event);
-    return Status::OK();
-  };
-
+                            const SearchOptions& options, SearchScope& scope,
+                            std::vector<ExhEvent>* events) {
   // Zone maps feed both the pruned sequential scan and the kAuto cost
   // model; legacy stores build theirs here, once. The attach mutates the
   // live table, so writers are excluded too (ingest_mu_ before lazy_mu_)
@@ -372,15 +171,10 @@ Status ExhIndex::SearchScan(bool drop, double T, double V,
                                                 "the exh pair table"));
   }
 
-  const TableSnapshotView* snap_view = snapshot.TableView(table_->name());
+  const TableSnapshotView* snap_view = scope.snapshot.TableView(table_->name());
   if (snap_view == nullptr) {
     return Status::Internal("snapshot is missing the exh pair table");
   }
-
-  SeqScanOptions scan_options;
-  scan_options.context = &ctx;
-  scan_options.snapshot = &snapshot;
-  scan_options.skip_quarantined = allow_partial;
 
   Predicate predicate;
   predicate.And(0, CmpOp::kLe, T);
@@ -390,111 +184,24 @@ Status ExhIndex::SearchScan(bool drop, double T, double V,
   if (mode == QueryMode::kAuto) {
     // Plan from the snapshot's statistics, not the live table's — the
     // scan below reads the snapshot, so the cost model must describe it.
-    const ZoneMap* zone_map = snap_view->zone_map.get();
-    const ColumnStore* columnar = table_->columnar();
-    if (!options_.build_index || zone_map == nullptr) {
-      mode = QueryMode::kSeqScan;
-    } else {
-      const ZoneSurvey survey = SurveyZones(*zone_map, predicate.conditions());
-      TableStatsView view;
-      view.row_count = snap_view->heap_meta.record_count +
-                       (columnar != nullptr ? columnar->row_count() : 0);
-      view.pages_total = snap_view->heap_meta.page_count;
-      view.pages_after_pruning =
-          survey.zones_surviving + (view.pages_total > survey.zones_total
-                                        ? view.pages_total - survey.zones_total
-                                        : 0);
-      // Merge per-column ranges across formats: compacted stores hold
-      // their rows in columnar segments whose statistics live in the
-      // segment directory, not the heap zone map.
-      auto merge = [](ZoneMap::ColumnRange a, const ZoneMap::ColumnRange& b) {
-        if (b.lo <= b.hi) {
-          if (a.lo <= a.hi) {
-            a.lo = std::min(a.lo, b.lo);
-            a.hi = std::max(a.hi, b.hi);
-          } else {
-            a.lo = b.lo;
-            a.hi = b.hi;
-          }
-        }
-        a.has_nan = a.has_nan || b.has_nan;
-        return a;
-      };
-      ZoneMap::ColumnRange dt = zone_map->GlobalRange(0);
-      ZoneMap::ColumnRange dv = zone_map->GlobalRange(1);
-      if (columnar != nullptr) {
-        const ColumnarSurvey col_survey =
-            SurveyColumnarSegments(*columnar, predicate.conditions());
-        view.pages_total += col_survey.pages_total;
-        view.pages_after_pruning += col_survey.pages_surviving;
-        const uint64_t col_rows = columnar->row_count();
-        if (view.row_count > 0) {
-          view.random_fetch_cost_scale =
-              (static_cast<double>(view.row_count - col_rows) +
-               kColumnarFetchCostScale * static_cast<double>(col_rows)) /
-              static_cast<double>(view.row_count);
-        }
-        dt = merge(dt, ColumnarGlobalRange(*columnar, 0));
-        dv = merge(dv, ColumnarGlobalRange(*columnar, 1));
-      }
-      auto le_fraction = [](const ZoneMap::ColumnRange& r, double hi) {
-        if (!(r.lo <= r.hi)) return 1.0;
-        if (r.hi <= r.lo) return hi >= r.lo ? 1.0 : 0.0;
-        return std::clamp((hi - r.lo) / (r.hi - r.lo), 0.0, 1.0);
-      };
-      auto ge_fraction = [](const ZoneMap::ColumnRange& r, double lo) {
-        if (!(r.lo <= r.hi)) return 1.0;
-        if (r.hi <= r.lo) return lo <= r.lo ? 1.0 : 0.0;
-        return std::clamp((r.hi - lo) / (r.hi - r.lo), 0.0, 1.0);
-      };
-      view.index_entry_fraction = le_fraction(dt, T);
-      view.heap_fetch_fraction =
-          view.index_entry_fraction *
-          (drop ? le_fraction(dv, V) : ge_fraction(dv, V));
-      const PlanChoice choice = ChooseAccessPath(view, options_.build_index);
-      mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
-                                                   : QueryMode::kSeqScan;
-    }
+    const PlanChoice choice = PlanRangeQuery(
+        *snap_view, table_->columnar(), predicate, options_.build_index);
+    mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
+                                                 : QueryMode::kSeqScan;
   }
-  ++local->queries_issued;
+  ++scope.local.queries_issued;
+  MemoryBudget* budget = scope.ctx.budget;
   if (mode == QueryMode::kSeqScan) {
-    if (num_threads > 1) {
-      // Partition the single range query's scan across the pool; events
-      // are re-sorted by the shell, so per-partition collection order is
-      // irrelevant to the result.
-      std::vector<std::vector<ExhEvent>> partition_out(num_threads);
-      ThreadPool* pool = EnsurePool(num_threads);
-      Status status = QuarantineScanError(
-          ParallelSeqScan(
-              *table_, predicate, pool, num_threads,
-              [&partition_out, budget](size_t p) -> RowCallback {
-                std::vector<ExhEvent>* sink = &partition_out[p];
-                return [sink, budget](const char* record,
-                                      RecordId) -> Status {
-                  if (budget != nullptr &&
-                      !budget->Charge(sizeof(ExhEvent))) {
-                    return budget->Exceeded();
-                  }
-                  ExhEvent event;
-                  event.dv = DecodeDoubleColumn(record, 1);
-                  event.t_start = DecodeDoubleColumn(record, 2);
-                  event.t_end = event.t_start + DecodeDoubleColumn(record, 0);
-                  sink->push_back(event);
-                  return Status::OK();
-                };
-              },
-              &local->scan, scan_options),
-          "the exh pair table");
-      ReleasePool();
-      // Merge even on failure: a budget-truncated search keeps what the
-      // partitions collected before the breach.
-      for (const std::vector<ExhEvent>& part : partition_out) {
-        events->insert(events->end(), part.begin(), part.end());
-      }
-      return status;
-    }
+    // Partitioned across the pool when there is one; events are
+    // re-sorted afterwards, so collection order is irrelevant.
+    SeqScanOptions scan_options;
+    scan_options.context = &scope.ctx;
+    scan_options.snapshot = &scope.snapshot;
+    scan_options.skip_quarantined = scope.allow_partial;
     return QuarantineScanError(
-        SeqScan(*table_, predicate, collect, &local->scan, scan_options),
+        CollectSeqScan(*table_, predicate, scope.lease.get(),
+                       scope.num_threads, budget, DecodeEvent, events,
+                       &scope.local.scan, scan_options),
         "the exh pair table");
   }
   if (!options_.build_index) {
@@ -503,9 +210,9 @@ Status ExhIndex::SearchScan(bool drop, double T, double V,
   }
   SEGDIFF_ASSIGN_OR_RETURN(BPlusTree * tree, table_->GetIndex("ptdv"));
   IndexScanSpec spec;
-  spec.context = &ctx;
-  spec.snapshot = &snapshot;
-  spec.skip_quarantined = allow_partial;
+  spec.context = &scope.ctx;
+  spec.snapshot = &scope.snapshot;
+  spec.skip_quarantined = scope.allow_partial;
   spec.index = tree;
   spec.lower = IndexKey::LowerBound({-kInf, -kInf});
   spec.key_continue = [T](const IndexKey& key) { return key.vals[0] <= T; };
@@ -513,36 +220,9 @@ Status ExhIndex::SearchScan(bool drop, double T, double V,
     return drop ? key.vals[1] <= V : key.vals[1] >= V;
   };
   return QuarantineScanError(
-      IndexScan(*table_, spec, Predicate::True(), collect, &local->scan),
+      IndexScan(*table_, spec, Predicate::True(),
+                CollectRows(events, budget, DecodeEvent), &scope.local.scan),
       "the exh pair table");
-}
-
-Status ExhIndex::Checkpoint() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();
-  return db_->Checkpoint();
-}
-
-Status ExhIndex::Compact(const std::string& destination_path) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();  // the copied ingest blob must reflect the table
-  return db_->CompactInto(destination_path);
-}
-
-Status ExhIndex::Repair(const std::string& destination_path,
-                        RepairReport* report) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  // Best effort: on a degraded store PutMeta is gated, so the blob in
-  // the catalog stays whatever was last saved — still a valid (if
-  // stale) resume point for the repaired copy.
-  SaveIngestState();
-  return db_->Repair(destination_path, report);
-}
-
-Status ExhIndex::DropCaches() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();
-  return db_->DropCaches();
 }
 
 ExhSizes ExhIndex::GetSizes() const {

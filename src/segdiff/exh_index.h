@@ -11,39 +11,18 @@
 
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/admission.h"
-#include "common/governance.h"
 #include "common/result.h"
-#include "feature/sink.h"
-#include "query/executor.h"
-#include "segdiff/segdiff_index.h"
-#include "storage/db.h"
+#include "segdiff/feature_store.h"
 #include "ts/series.h"
 
 namespace segdiff {
 
-struct ExhOptions {
+struct ExhOptions : StoreOptions {
   double window_s = 28800.0;  ///< w (same default as SegDiff)
   bool build_index = true;
-  size_t buffer_pool_pages = 4096;
-  /// Simulated storage read latency (cold-cache experiments); 0 = off.
-  uint64_t sim_seq_read_ns = 0;
-  uint64_t sim_random_read_ns = 0;
-  /// File system the store's IO goes through (nullptr = default POSIX
-  /// Vfs; non-owning). Fault-injection tests substitute their own.
-  Vfs* vfs = nullptr;
-  /// Verify page checksums on read (see DatabaseOptions).
-  bool verify_checksums = true;
-  /// Write-ahead logging (see SegDiffOptions::wal).
-  bool wal = true;
-  /// Group-commit window in ms (see SegDiffOptions::wal_group_commit_ms).
-  int64_t wal_group_commit_ms = -1;
-  /// Admission-control limits for this store's query entry points.
-  AdmissionOptions admission;
 };
 
 /// One matching event (pair of sampled observations).
@@ -60,7 +39,7 @@ struct ExhSizes {
   uint64_t file_bytes = 0;
 };
 
-class ExhIndex : public FeatureSink {
+class ExhIndex : public FeatureStore {
  public:
   /// Opens (creating if missing) the Exh store at `path`. Reopened
   /// stores resume appending: the trailing sample window and the build
@@ -68,34 +47,16 @@ class ExhIndex : public FeatureSink {
   /// parameters taking precedence over `options`. Legacy stores (written
   /// before state persistence) reopen query-only-equivalent: appends
   /// start a fresh window, so pairs spanning the reopen gap are lost.
+  ///
+  /// Appends insert a (dt, dv, t) row for every retained earlier sample
+  /// within the window: rows are immediately searchable, so FlushPending
+  /// only enforces the durability boundary. Chunked ingest carries the
+  /// trailing window across calls, so chunked and one-shot ingest
+  /// produce identical tables.
   static Result<std::unique_ptr<ExhIndex>> Open(const std::string& path,
                                                 const ExhOptions& options);
 
-  /// Saves ingest state into the database before the database handle
-  /// checkpoints itself on destruction.
   ~ExhIndex() override;
-
-  /// Appends one observation: inserts a (dt, dv, t) row for every
-  /// retained earlier sample within the window. Rows are immediately
-  /// searchable; there is no buffered pending state. In WAL mode the
-  /// observation is logged first and acknowledged durable at the next
-  /// group commit. Safe to call concurrently with searches.
-  Status AppendObservation(double t, double v) override;
-
-  /// Exh materializes every pair eagerly in AppendObservation, so this
-  /// only enforces the durability boundary: in WAL mode it closes the
-  /// group-commit window (acknowledged means durable) and may
-  /// auto-checkpoint a grown log.
-  Status FlushPending() override;
-
-  /// Appends all within-window pairs of `series`. May be called
-  /// repeatedly with later series chunks (time stamps must keep
-  /// increasing); the trailing window of samples is carried across calls
-  /// so chunked and one-shot ingest produce identical tables (mirroring
-  /// SegDiffIndex's chunked-ingest contract).
-  Status IngestSeries(const Series& series) override {
-    return FeatureSink::IngestSeries(series);
-  }
 
   Result<std::vector<ExhEvent>> SearchDrops(double T, double V,
                                             const SearchOptions& options = {},
@@ -104,80 +65,32 @@ class ExhIndex : public FeatureSink {
                                             const SearchOptions& options = {},
                                             SearchStats* stats = nullptr);
 
-  Status Checkpoint();
-  Status DropCaches();
-
-  /// Saves ingest state, then rewrites the store into a fresh file at
-  /// `destination_path` (Database::CompactInto). Prefer this over
-  /// db()->CompactInto(): it guarantees the compacted store's ingest
-  /// blob is consistent with its table, so it reopens as a valid
-  /// resume point.
-  Status Compact(const std::string& destination_path);
-
-  /// Salvages everything still readable into a fresh store at
-  /// `destination_path` (see SegDiffIndex::Repair).
-  Status Repair(const std::string& destination_path, RepairReport* report);
-
   ExhSizes GetSizes() const;
-  uint64_t num_observations() const override { return observations_; }
   const ExhOptions& options() const { return options_; }
-  Database* db() { return db_.get(); }
-
-  /// The store's admission gate (see SegDiffIndex::admission_controller).
-  AdmissionController* admission_controller() { return &admission_; }
 
  private:
-  explicit ExhIndex(ExhOptions options);
-  /// Everything fallible in Open: database, table, restored state. On
-  /// failure the instance may be partially built; Open marks the
-  /// database handle to not checkpoint on close.
-  Status OpenImpl(const std::string& path);
-  /// Governance shell around SearchScan (admission, deadline/cancel
-  /// context, budget truncation contract — see SegDiffIndex::Search).
-  Result<std::vector<ExhEvent>> Search(bool drop, double T, double V,
-                                       const SearchOptions& options,
-                                       SearchStats* stats);
-  /// Plans and runs the single range query against `snapshot`,
-  /// appending raw matches to `events` (kept on a budget breach for the
-  /// shell's truncation path).
-  Status SearchScan(bool drop, double T, double V,
-                    const SearchOptions& options, size_t num_threads,
-                    const QueryContext& ctx,
-                    const DatabaseSnapshot& snapshot, bool allow_partial,
-                    std::vector<ExhEvent>* events, SearchStats* local);
-  /// Replays the WAL's recovered observation backlog through the append
-  /// path (under Wal::Suspend); see SegDiffIndex::DrainRecoveredOps.
-  Status DrainRecoveredOps();
-  ThreadPool* EnsurePool(size_t num_threads);
-  void ReleasePool();
-  /// Serializes the trailing sample window + counters into the
-  /// database's catalog meta blob (persisted at the next checkpoint).
-  void SaveIngestState();
+  explicit ExhIndex(const ExhOptions& options);
+
+  Status OpenImpl() override;
+  Status IngestStep(double t, double v) override;
+  std::string EncodeIngestState() const override;
   /// Restores ingest state on reopen, adopting persisted build
   /// parameters; silently absent for legacy stores.
   Status RestoreIngestState();
+  /// The single range query dt <= T AND dv <=/>= V, planned and run
+  /// against the search's snapshot.
+  Result<std::vector<ExhEvent>> Search(bool drop, double T, double V,
+                                       const SearchOptions& options,
+                                       SearchStats* stats);
+  Status SearchScan(bool drop, double T, double V,
+                    const SearchOptions& options, SearchScope& scope,
+                    std::vector<ExhEvent>* events);
 
   ExhOptions options_;
-  std::unique_ptr<Database> db_;
   Table* table_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;  ///< parallel-search workers
-  std::mutex pool_mu_;                ///< guards pool_ + pool_users_
-  size_t pool_users_ = 0;
-  AdmissionController admission_;
-  /// Serializes writers (appends, checkpoints) against each other and
-  /// against snapshot creation; searches read snapshots and never take
-  /// it while scanning. Lock order: ingest_mu_ before lazy_mu_.
-  std::mutex ingest_mu_;
-  /// Serializes the lazy zone-map build on first search.
-  std::mutex lazy_mu_;
   /// Trailing `window_s` of already-ingested samples, so pairs spanning
   /// chunk boundaries are not dropped on the next IngestSeries call.
   std::deque<Sample> window_;
-  uint64_t observations_ = 0;
-  /// Set only when Open fully succeeded; the destructor saves ingest
-  /// state only for opened instances so a failed open never overwrites
-  /// the persisted resume point.
-  bool opened_ = false;
 };
 
 }  // namespace segdiff

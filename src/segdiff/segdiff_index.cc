@@ -1,17 +1,13 @@
 #include "segdiff/segdiff_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/logging.h"
-#include "common/stopwatch.h"
 #include "query/planner.h"
 #include "query/predicate.h"
-#include "query/scan_kernel.h"
 
 namespace segdiff {
 namespace {
@@ -45,35 +41,6 @@ struct RangeQuery {
   int corner = 1;  ///< point: corner j; line: edge (j, j+1)
 };
 
-/// Estimated fraction of rows satisfying `cond`, assuming a uniform
-/// distribution over the column's zone-map-observed [lo, hi]. A NaN
-/// query bound propagates into the result, which the cost-based planner
-/// rejects (falling back to the sequential scan).
-double ConditionFraction(const ZoneMap::ColumnRange& range,
-                         const ColumnCondition& cond) {
-  if (!(range.lo <= range.hi)) {
-    return 1.0;  // column never observed: no evidence to plan on
-  }
-  const double width = range.hi - range.lo;
-  switch (cond.op) {
-    case CmpOp::kLt:
-    case CmpOp::kLe:
-      if (width <= 0.0) {
-        return cond.value >= range.lo ? 1.0 : 0.0;
-      }
-      return std::clamp((cond.value - range.lo) / width, 0.0, 1.0);
-    case CmpOp::kGt:
-    case CmpOp::kGe:
-      if (width <= 0.0) {
-        return cond.value <= range.lo ? 1.0 : 0.0;
-      }
-      return std::clamp((range.hi - cond.value) / width, 0.0, 1.0);
-    case CmpOp::kEq:
-      return (cond.value >= range.lo && cond.value <= range.hi) ? 0.1 : 0.0;
-  }
-  return 1.0;
-}
-
 bool PairIdLess(const PairId& a, const PairId& b) {
   if (a.t_d != b.t_d) return a.t_d < b.t_d;
   if (a.t_c != b.t_c) return a.t_c < b.t_c;
@@ -85,19 +52,8 @@ bool PairIdKeyEq(const PairId& a, const PairId& b) {
 
 }  // namespace
 
-Status QuarantineScanError(Status status, const std::string& what) {
-  if (status.ok() || !status.IsCorruption()) {
-    return status;
-  }
-  return Status::Corruption(
-      "quarantined range: " + what + " has unreadable pages [" +
-      std::string(status.message()) +
-      "]; run `segdiff_cli verify --scrub` to map the damage, then "
-      "rebuild or compact from a healthy replica");
-}
-
-SegDiffIndex::SegDiffIndex(SegDiffOptions options)
-    : options_(std::move(options)), admission_(options_.admission) {}
+SegDiffIndex::SegDiffIndex(const SegDiffOptions& options)
+    : FeatureStore(options, kIngestStateKey), options_(options) {}
 
 Result<std::unique_ptr<SegDiffIndex>> SegDiffIndex::Open(
     const std::string& path, const SegDiffOptions& options) {
@@ -108,36 +64,14 @@ Result<std::unique_ptr<SegDiffIndex>> SegDiffIndex::Open(
     return Status::InvalidArgument("window_s must be positive");
   }
   std::unique_ptr<SegDiffIndex> index(new SegDiffIndex(options));
-  Status status = index->OpenImpl(path);
-  if (!status.ok()) {
-    // A failed open must not mutate the store: the destructor will not
-    // save (default/partial) ingest state over the persisted blob, and
-    // the abandoned database handle neither checkpoints nor flushes on
-    // close — the files stay as they were, recovery still possible.
-    if (index->db_ != nullptr) {
-      index->db_->Abandon();
-    }
-    return status;
-  }
-  index->opened_ = true;
+  SEGDIFF_RETURN_IF_ERROR(
+      index->OpenStore(path, options, options.create_if_missing));
   return index;
 }
 
-Status SegDiffIndex::OpenImpl(const std::string& path) {
-  DatabaseOptions db_options;
-  db_options.buffer_pool_pages = options_.buffer_pool_pages;
-  db_options.create_if_missing = options_.create_if_missing;
-  db_options.sim_seq_read_ns = options_.sim_seq_read_ns;
-  db_options.sim_random_read_ns = options_.sim_random_read_ns;
-  db_options.vfs = options_.vfs;
-  db_options.verify_checksums = options_.verify_checksums;
-  db_options.wal = options_.wal;
-  db_options.wal_group_commit_ms = options_.wal_group_commit_ms;
-  // Engine stores log the observation stream, not the rows it fans out
-  // into: one kObservation record redoes the whole pipeline step
-  // (segment row + up to 6 feature rows + index inserts) on replay.
-  db_options.wal_observation_log = true;
-  SEGDIFF_ASSIGN_OR_RETURN(db_, Database::Open(path, db_options));
+SegDiffIndex::~SegDiffIndex() { CloseStore(); }
+
+Status SegDiffIndex::OpenImpl() {
   SEGDIFF_RETURN_IF_ERROR(InitTables());
   SEGDIFF_RETURN_IF_ERROR(RestoreIngestState());
 
@@ -165,46 +99,7 @@ Status SegDiffIndex::OpenImpl(const std::string& path) {
     SEGDIFF_RETURN_IF_ERROR(segmenter_->RestoreState(*restored_segmenter_));
     restored_segmenter_.reset();
   }
-  return DrainRecoveredOps();
-}
-
-Status SegDiffIndex::DrainRecoveredOps() {
-  if (!db_->HasRecoveredOps()) {
-    return Status::OK();
-  }
-  std::vector<WalRecord> ops = db_->TakeRecoveredOps();
-  // Replay through the normal pipeline, suspended so nothing is logged
-  // twice. The restored ingest-state blob is checkpoint-consistent with
-  // the tables (SaveIngestState never WAL-logs it), so the backlog
-  // normally applies in full; any observation the restored state does
-  // already cover (e.g. a legacy store upgraded mid-stream) is rejected
-  // by the segmenter's strictly-increasing-timestamp rule and skipped,
-  // which keeps the replay idempotent.
-  Wal::Suspend suspend(db_->wal());
-  for (const WalRecord& op : ops) {
-    if (op.type == WalRecordType::kFlush) {
-      SEGDIFF_RETURN_IF_ERROR(segmenter_->Flush());
-      continue;
-    }
-    SEGDIFF_ASSIGN_OR_RETURN(WalObservation obs,
-                             DecodeWalObservation(op.payload));
-    Status status = segmenter_->Add(Sample{obs.t, obs.v});
-    if (status.IsInvalidArgument()) {
-      continue;  // already absorbed before the crash
-    }
-    SEGDIFF_RETURN_IF_ERROR(status);
-    ++observations_;
-  }
   return Status::OK();
-}
-
-SegDiffIndex::~SegDiffIndex() {
-  // Only a fully-opened index has a pipeline to save; after a failed
-  // Open, segmenter_/extractor_ may be null and the persisted state must
-  // stay whatever it was (db_'s destructor also skips its checkpoint).
-  if (opened_) {
-    SaveIngestState();  // db_'s destructor checkpoints the catalog
-  }
 }
 
 Status SegDiffIndex::InitTables() {
@@ -312,65 +207,20 @@ Status SegDiffIndex::OnSegment(const DataSegment& segment) {
   return extractor_->AddSegment(segment);
 }
 
-Status SegDiffIndex::AppendObservation(double t, double v) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status status = [&]() -> Status {
-    if (db_->degraded()) {
-      // Fail fast with the recorded reason instead of tearing further
-      // state; searches keep running off the durable prefix.
-      return Status::NoSpace("store is degraded (read-only): " +
-                             db_->GetHealth().degraded_reason);
-    }
-    if (db_->wal() != nullptr) {
-      // WAL-before-data: the redo record is in the log (buffered for the
-      // next group commit) before the pipeline touches any page.
-      SEGDIFF_RETURN_IF_ERROR(db_->wal()->AppendObservation(t, v).status());
-    }
-    SEGDIFF_RETURN_IF_ERROR(segmenter_->Add(Sample{t, v}));
-    ++observations_;
-    return Status::OK();
-  }();
-  if (!status.ok()) {
-    // A no-space failure flips the store into degraded read-only mode;
-    // the observation was not acknowledged and will not be partially
-    // visible (WAL-before-data keeps replay consistent).
-    db_->NoteStorageFailure(status);
-  }
-  return status;
+Status SegDiffIndex::IngestStep(double t, double v) {
+  return segmenter_->Add(Sample{t, v});
 }
 
-Status SegDiffIndex::FlushPending() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status status = [&]() -> Status {
-    Wal* wal = db_->wal();
-    if (wal != nullptr) {
-      SEGDIFF_RETURN_IF_ERROR(wal->AppendFlushMarker().status());
-    }
-    SEGDIFF_RETURN_IF_ERROR(segmenter_->Flush());
-    if (wal != nullptr) {
-      // Acknowledged means durable: everything appended so far survives a
-      // crash from here on. State is saved first so an auto-checkpoint
-      // (which truncates the log) leaves a consistent resume point.
-      SaveIngestState();
-      SEGDIFF_RETURN_IF_ERROR(wal->Sync());
-      SEGDIFF_RETURN_IF_ERROR(db_->MaybeAutoCheckpoint());
-    }
-    return Status::OK();
-  }();
-  if (!status.ok()) {
-    db_->NoteStorageFailure(status);
-  }
-  return status;
-}
+Status SegDiffIndex::FlushStep() { return segmenter_->Flush(); }
 
 Status SegDiffIndex::IngestSeries(const Series& series) {
   if (series.size() < 2) {
     return Status::InvalidArgument("series must have at least 2 samples");
   }
-  return FeatureSink::IngestSeries(series);
+  return FeatureStore::IngestSeries(series);
 }
 
-void SegDiffIndex::SaveIngestState() {
+std::string SegDiffIndex::EncodeIngestState() const {
   const SegmenterState seg = segmenter_->SaveState();
   const ExtractorState ext = extractor_->SaveState();
   ByteWriter w;
@@ -414,16 +264,7 @@ void SegDiffIndex::SaveIngestState() {
     w.F64(segment.end.t);
     w.F64(segment.end.v);
   }
-  // Suspended: the blob must reach the catalog only via Checkpoint,
-  // which flushes the tables it describes in the same operation. A
-  // kPutMeta WAL record would let recovery restore a pipeline state
-  // newer than the checkpointed tables and then skip re-deriving (via
-  // DrainRecoveredOps) exactly the rows that reverted with the data
-  // file. The state is redundant with the observation log, so losing
-  // the un-checkpointed blob costs nothing.
-  Wal::Suspend suspend(db_->wal());
-  // Suspended appends are no-ops, so this PutMeta cannot fail.
-  (void)db_->PutMeta(kIngestStateKey, w.Take());
+  return w.Take();
 }
 
 Status SegDiffIndex::RestoreIngestState() {
@@ -610,156 +451,49 @@ Result<std::vector<PairId>> SegDiffIndex::SearchJumps(
   return Search(SearchKind::kJump, T, V, options, stats);
 }
 
-ThreadPool* SegDiffIndex::EnsurePool(size_t num_threads) {
-  const size_t workers = num_threads - 1;
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  // Resizing destroys the pool (joining its workers), so it is only safe
-  // when no other search holds it; concurrent searches with a different
-  // num_threads simply share the existing pool — ParallelFor spreads
-  // over whatever workers exist plus the calling thread, so only the
-  // parallelism degree differs, never the results.
-  if (pool_ == nullptr ||
-      (pool_->size() != workers && pool_users_ == 0)) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  ++pool_users_;
-  return pool_.get();
-}
-
-void SegDiffIndex::ReleasePool() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  --pool_users_;
-}
-
 Result<std::vector<PairId>> SegDiffIndex::Search(SearchKind kind, double T,
                                                  double V,
                                                  const SearchOptions& options,
                                                  SearchStats* stats) {
-  if (!(T > 0.0)) {
-    return Status::InvalidArgument("T must be positive");
-  }
-  if (T > options_.window_s) {
-    return Status::InvalidArgument(
-        "T exceeds the configured window w; rebuild with a larger window");
-  }
-  Stopwatch stopwatch;
-  SearchStats local;
+  return GovernedSearch<PairId>(
+      T, options_.window_s, options, stats,
+      [&](SearchScope& scope, std::vector<PairId>* results) {
+        return SearchImpl(kind, T, V, options, scope, results);
+      },
+      [this](std::vector<PairId>* results) { return FinishPairs(results); });
+}
 
-  // Governance shell: one context shared by every thread of this search,
-  // one budget charged by result growth, one admission slot held for the
-  // query's whole execution.
-  MemoryBudget budget(options.max_result_bytes);
-  QueryContext ctx;
-  ctx.cancel = options.cancel;
-  ctx.deadline = options.deadline_ms > 0
-                     ? Deadline::Earlier(options.deadline,
-                                         Deadline::AfterMillis(
-                                             options.deadline_ms))
-                     : options.deadline;
-  ctx.budget = &budget;
-
-  Stopwatch admission_watch;
-  Result<AdmissionController::Ticket> ticket =
-      admission_.Admit(ctx, options.priority);
-  if (!ticket.ok()) {
-    admission_.RecordOutcome(ticket.status(), 0, false);
-    return ticket.status();
-  }
-  local.admission_wait_ms = admission_watch.ElapsedMillis();
-
-  // 0/1 stays serial (paper semantics); explicit parallelism is clamped
-  // by the store's per-query worker limit.
-  const size_t num_threads = options.num_threads <= 1
-                                 ? options.num_threads
-                                 : admission_.ClampThreads(
-                                       options.num_threads);
-  ThreadPool* pool = num_threads > 1 ? EnsurePool(num_threads) : nullptr;
-
-  // Freeze the view this search reads: taken between ingest operations
-  // (under ingest_mu_), so it is a consistent cut of every table, and
-  // the search needs no further coordination with concurrent appends.
-  DatabaseSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    snapshot = db_->CreateSnapshot();
-    local.snapshot_observations = observations_;
-  }
-
-  // With a stats out-param the search degrades gracefully over
-  // quarantined pages (routing around them, flagging the result
-  // partial); without one there is nowhere to surface the flag, so
-  // corruption stays a hard error.
-  const bool allow_partial = stats != nullptr;
-  std::vector<PairId> results;
-  Status run = SearchImpl(kind, T, V, options, num_threads, pool, ctx,
-                          snapshot, allow_partial, &results, &local);
-  if (pool != nullptr) {
-    ReleasePool();
-  }
-
-  bool truncated = false;
-  if (!run.ok()) {
-    if (run.IsResourceExhausted() && budget.breached() && stats != nullptr) {
-      // Budget breach degrades gracefully: keep the pairs collected so
-      // far and flag the cut. Without a stats out-param there is nowhere
-      // to surface the flag, so fail instead — never a silent cut.
-      truncated = true;
-    } else {
-      admission_.RecordOutcome(run, budget.peak(),
-                               run.IsResourceExhausted() &&
-                                   budget.breached());
-      return run;
-    }
-  }
-
+Status SegDiffIndex::FinishPairs(std::vector<PairId>* results) {
   // Union of all queries: dedupe on (t_d, t_c, t_b).
-  std::sort(results.begin(), results.end(), PairIdLess);
-  results.erase(std::unique(results.begin(), results.end(), PairIdKeyEq),
-                results.end());
+  std::sort(results->begin(), results->end(), PairIdLess);
+  results->erase(std::unique(results->begin(), results->end(), PairIdKeyEq),
+                 results->end());
 
   // Materialize t_a from the segment directory. Every pair came from
   // the snapshot, so its segment is in the directory (which only grows
   // under concurrent ingest — lookups happen under lazy_mu_ because
   // OnSegment inserts while we read).
-  Status fin = EnsureSegmentDirectory();
-  if (fin.ok()) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    for (PairId& id : results) {
-      auto it = segment_dir_.find(id.t_b);
-      if (it == segment_dir_.end()) {
-        fin = Status::Corruption("feature row references unknown segment");
-        break;
-      }
-      id.t_a = it->second;
+  SEGDIFF_RETURN_IF_ERROR(EnsureSegmentDirectory());
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  for (PairId& id : *results) {
+    auto it = segment_dir_.find(id.t_b);
+    if (it == segment_dir_.end()) {
+      return Status::Corruption("feature row references unknown segment");
     }
+    id.t_a = it->second;
   }
-  if (!fin.ok()) {
-    admission_.RecordOutcome(fin, budget.peak(), false);
-    return fin;
-  }
-
-  local.pairs_returned = results.size();
-  local.truncated = truncated;
-  local.partial = local.scan.pages_quarantined > 0 ||
-                  local.scan.rows_quarantined > 0;
-  local.result_bytes_peak = budget.peak();
-  local.seconds = stopwatch.ElapsedSeconds();
-  admission_.RecordOutcome(Status::OK(), budget.peak(), truncated);
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return results;
+  return Status::OK();
 }
 
 Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
                                 const SearchOptions& options,
-                                size_t num_threads, ThreadPool* pool,
-                                const QueryContext& ctx,
-                                const DatabaseSnapshot& snapshot,
-                                bool allow_partial,
-                                std::vector<PairId>* results,
-                                SearchStats* local) {
+                                SearchScope& scope,
+                                std::vector<PairId>* results) {
   const bool drop = kind == SearchKind::kDrop;
+  ThreadPool* pool = scope.lease.get();
+  const QueryContext& ctx = scope.ctx;
+  const DatabaseSnapshot& snapshot = scope.snapshot;
+  SearchStats* local = &scope.local;
 
   // Everything that lazily mutates index state happens before any task
   // can run on a worker thread; the tasks themselves are read-only.
@@ -774,7 +508,7 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   SeqScanOptions scan_options;
   scan_options.context = &ctx;
   scan_options.snapshot = &snapshot;
-  scan_options.skip_quarantined = allow_partial;
+  scan_options.skip_quarantined = scope.allow_partial;
 
   // Builds the paper's predicate for one query, for sequential scans.
   auto make_predicate = [drop, T, V](const RangeQuery& query) {
@@ -854,80 +588,10 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
             "index scan requested but indexes were not built");
       }
       if (mode == QueryMode::kAuto) {
-        const ZoneMap* zone_map = view->zone_map.get();
-        if (zone_map == nullptr && columnar == nullptr) {
-          mode = QueryMode::kSeqScan;  // no stats: always-correct default
-        } else {
-          // Price the sequential side at what the pruned scan will
-          // actually evaluate — heap pages surviving the zone map plus
-          // columnar pages surviving the segment directory — and the
-          // index side from real per-column ranges over both formats.
-          const Predicate predicate = make_predicate(query);
-          TableStatsView stats_view;
-          stats_view.row_count = snap_rows;
-          stats_view.pages_total = view->heap_meta.page_count;
-          stats_view.pages_after_pruning = 0;
-          if (zone_map != nullptr) {
-            const ZoneSurvey survey =
-                SurveyZones(*zone_map, predicate.conditions());
-            // Pages without a zone (e.g. crash-recovered tails) cannot
-            // be pruned; keep them on the sequential side's bill.
-            stats_view.pages_after_pruning =
-                survey.zones_surviving +
-                (stats_view.pages_total > survey.zones_total
-                     ? stats_view.pages_total - survey.zones_total
-                     : 0);
-          } else {
-            stats_view.pages_after_pruning = stats_view.pages_total;
-          }
-          if (columnar != nullptr) {
-            const ColumnarSurvey survey =
-                SurveyColumnarSegments(*columnar, predicate.conditions());
-            stats_view.pages_total += survey.pages_total;
-            stats_view.pages_after_pruning += survey.pages_surviving;
-            const uint64_t col_rows = columnar->row_count();
-            if (stats_view.row_count > 0) {
-              stats_view.random_fetch_cost_scale =
-                  (static_cast<double>(stats_view.row_count - col_rows) +
-                   kColumnarFetchCostScale * static_cast<double>(col_rows)) /
-                  static_cast<double>(stats_view.row_count);
-            }
-          }
-          // Per-column global ranges merged across formats.
-          auto global_range = [&](size_t column) {
-            ZoneMap::ColumnRange range{1.0, -1.0, false};
-            if (zone_map != nullptr) {
-              range = zone_map->GlobalRange(column);
-            }
-            if (columnar != nullptr) {
-              const ZoneMap::ColumnRange cr =
-                  ColumnarGlobalRange(*columnar, column);
-              if (cr.lo <= cr.hi) {
-                if (range.lo <= range.hi) {
-                  range.lo = std::min(range.lo, cr.lo);
-                  range.hi = std::max(range.hi, cr.hi);
-                } else {
-                  range.lo = cr.lo;
-                  range.hi = cr.hi;
-                }
-              }
-              range.has_nan = range.has_nan || cr.has_nan;
-            }
-            return range;
-          };
-          stats_view.index_entry_fraction = ConditionFraction(
-              global_range(predicate.conditions().front().column),
-              predicate.conditions().front());
-          stats_view.heap_fetch_fraction = 1.0;
-          for (const ColumnCondition& cond : predicate.conditions()) {
-            stats_view.heap_fetch_fraction *=
-                ConditionFraction(global_range(cond.column), cond);
-          }
-          const PlanChoice choice =
-              ChooseAccessPath(stats_view, options_.build_indexes);
-          mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
-                                                       : QueryMode::kSeqScan;
-        }
+        const PlanChoice choice = PlanRangeQuery(
+            *view, columnar, make_predicate(query), options_.build_indexes);
+        mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
+                                                     : QueryMode::kSeqScan;
       }
       tasks.push_back(QueryTask{k, table, false, query, mode});
     }
@@ -940,20 +604,13 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
                       ScanStats* scan) -> Status {
     const int k = task.k;
     MemoryBudget* budget = ctx.budget;
-    const RowCallback collect = [out, k, budget](const char* record,
-                                                 RecordId) -> Status {
-      // Result-set growth is what the memory budget charges; a breach
-      // aborts this task (and, via the shared budget, every sibling).
-      if (budget != nullptr && !budget->Charge(sizeof(PairId))) {
-        return budget->Exceeded();
-      }
+    const auto decode = [k](const char* record) {
       PairId id;
       id.t_d = DecodeDoubleColumn(record, TdCol(k));
       id.t_c = DecodeDoubleColumn(record, TcCol(k));
       id.t_b = DecodeDoubleColumn(record, TbCol(k));
       id.t_a = 0.0;  // resolved after dedup
-      out->push_back(id);
-      return Status::OK();
+      return id;
     };
     if (task.fused) {
       // One pass evaluating the OR of every query's conditions.
@@ -978,36 +635,10 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
         }
         return false;
       });
-      if (pool == nullptr) {
-        return SeqScan(*task.table, fused, collect, scan, scan_options);
-      }
-      std::vector<std::vector<PairId>> partition_out(num_threads);
-      Status status = ParallelSeqScan(
-          *task.table, fused, pool, num_threads,
-          [&partition_out, k, budget](size_t p) -> RowCallback {
-            std::vector<PairId>* sink = &partition_out[p];
-            return [sink, k, budget](const char* record,
-                                     RecordId) -> Status {
-              if (budget != nullptr && !budget->Charge(sizeof(PairId))) {
-                return budget->Exceeded();
-              }
-              PairId id;
-              id.t_d = DecodeDoubleColumn(record, TdCol(k));
-              id.t_c = DecodeDoubleColumn(record, TcCol(k));
-              id.t_b = DecodeDoubleColumn(record, TbCol(k));
-              id.t_a = 0.0;
-              sink->push_back(id);
-              return Status::OK();
-            };
-          },
-          scan, scan_options);
-      // Merge even on failure: a budget-truncated search keeps what the
-      // partitions collected before the breach.
-      for (const std::vector<PairId>& part : partition_out) {
-        out->insert(out->end(), part.begin(), part.end());
-      }
-      return status;
+      return CollectSeqScan(*task.table, fused, pool, scope.num_threads,
+                            budget, decode, out, scan, scan_options);
     }
+    const RowCallback collect = CollectRows(out, budget, decode);
     if (task.mode == QueryMode::kSeqScan) {
       return SeqScan(*task.table, make_predicate(task.query), collect, scan,
                      scan_options);
@@ -1017,7 +648,7 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     IndexScanSpec spec;
     spec.context = &ctx;
     spec.snapshot = &snapshot;
-    spec.skip_quarantined = allow_partial;
+    spec.skip_quarantined = scope.allow_partial;
     const std::string index_name =
         (task.query.is_line ? "ln" : "pt") + std::to_string(task.query.corner);
     SEGDIFF_ASSIGN_OR_RETURN(BPlusTree * tree,
@@ -1077,7 +708,8 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
                                           "feature table '" +
                                               tasks[i].table->name() + "'");
                                     });
-  // Merge even on failure (see partition merge above).
+  // Merge even on failure: a budget-truncated search keeps what every
+  // task collected before the breach.
   for (size_t i = 0; i < tasks.size(); ++i) {
     local->scan.Add(task_scan[i]);
     results->insert(results->end(), task_out[i].begin(), task_out[i].end());
@@ -1085,37 +717,10 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   return status;
 }
 
-Status SegDiffIndex::Checkpoint() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();
-  return db_->Checkpoint();
-}
-
-Status SegDiffIndex::Compact(const std::string& destination_path) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();  // the copied ingest blob must reflect the tables
-  return db_->CompactInto(destination_path);
-}
-
-Status SegDiffIndex::Repair(const std::string& destination_path,
-                            RepairReport* report) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  // Best-effort: on a degraded store PutMeta is gated, so the copied
-  // blob is the last one saved — the WAL backlog (already replayed at
-  // Open) covers the difference.
-  SaveIngestState();
-  return db_->Repair(destination_path, report);
-}
-
-Status SegDiffIndex::DropCaches() {
-  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-  {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    segment_dir_.clear();
-    segment_dir_fresh_ = false;  // force re-read through the (cold) pool
-  }
-  SaveIngestState();
-  return db_->DropCaches();
+void SegDiffIndex::OnDropCaches() {
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  segment_dir_.clear();
+  segment_dir_fresh_ = false;  // force re-read through the (cold) pool
 }
 
 SegDiffSizes SegDiffIndex::GetSizes() const {

@@ -181,7 +181,7 @@ class TransectIndex {
   Status IngestSensorSeries(int sensor, const Series& series);
 
   /// Appends one observation to one sensor's streaming pipeline
-  /// (0-based); see SegDiffIndex::AppendObservation.
+  /// (0-based); see FeatureStore::AppendObservation.
   Status AppendSensorObservation(int sensor, double t, double v);
 
   /// Flushes the open trailing segment of every sensor appended to
@@ -311,12 +311,6 @@ class TransectIndex {
                                          : Vfs::Default();
   }
 
-  /// Lazily creates (or resizes) the shared fan-out pool; same
-  /// discipline as SegDiffIndex::EnsurePool (`num_threads - 1` workers,
-  /// the caller participates; concurrent users share whatever exists).
-  ThreadPool* EnsurePool(size_t num_threads);
-  void ReleasePool();
-
   /// Fan-out width for maintenance sweeps (flush, checkpoint, sizes):
   /// enough workers to overlap store IO, bounded by the cache capacity
   /// and the number of items.
@@ -342,9 +336,7 @@ class TransectIndex {
   /// Serializes Verify/RepairAll/Rebalance against each other.
   std::mutex maintenance_mu_;
 
-  std::unique_ptr<ThreadPool> pool_;  ///< shared fan-out workers
-  std::mutex pool_mu_;                ///< guards pool_ + pool_users_
-  size_t pool_users_ = 0;
+  SharedPool pool_;  ///< shared fan-out workers
 
   /// Sensors with appends since their last flush; survives LRU
   /// eviction of the store (close persists segmenter state, not the

@@ -17,7 +17,7 @@
 // an error (frames past the tear were never acknowledged).
 //
 // Record kinds:
-//   kObservation  one FeatureSink::AppendObservation(t, v) — the
+//   kObservation  one FeatureStore::AppendObservation(t, v) — the
 //                 logical redo unit for engine stores (SegDiff/Exh),
 //                 replayed by re-running the ingest pipeline.
 //   kFlush        a FlushPending boundary, so replay reproduces the

@@ -21,6 +21,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,15 +119,24 @@ std::vector<std::string> TableRecords(Database* db, const std::string& name) {
 const char* const kSegDiffTables[] = {"segments", "drop1", "drop2", "drop3",
                                       "jump1",    "jump2", "jump3"};
 
+void ExpectSameTable(FeatureStore* actual, FeatureStore* expected,
+                     const char* name) {
+  const std::vector<std::string> a = TableRecords(actual->db(), name);
+  const std::vector<std::string> e = TableRecords(expected->db(), name);
+  ASSERT_EQ(a.size(), e.size()) << "row count mismatch in " << name;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i], e[i]) << "record " << i << " differs in " << name;
+  }
+}
+
 void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected) {
   for (const char* name : kSegDiffTables) {
-    const std::vector<std::string> a = TableRecords(actual->db(), name);
-    const std::vector<std::string> e = TableRecords(expected->db(), name);
-    ASSERT_EQ(a.size(), e.size()) << "row count mismatch in " << name;
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], e[i]) << "record " << i << " differs in " << name;
-    }
+    ExpectSameTable(actual, expected, name);
   }
+}
+
+void ExpectSameTables(ExhIndex* actual, ExhIndex* expected) {
+  ExpectSameTable(actual, expected, "exh");
 }
 
 // ---------------------------------------------------------------------------
@@ -916,6 +926,26 @@ class WalCrashTest : public ::testing::Test {
     return options;
   }
 
+  /// The Exh counterpart of Options(); a two-hour window keeps the pair
+  /// table small enough for crash sweeps.
+  ExhOptions ExhStoreOptions(Vfs* vfs) const {
+    ExhOptions options;
+    options.window_s = 7200.0;
+    options.build_index = false;
+    options.vfs = vfs;
+    options.wal_group_commit_ms = 0;
+    return options;
+  }
+
+  template <typename Store>
+  auto OptionsFor(Vfs* vfs) const {
+    if constexpr (std::is_same_v<Store, ExhIndex>) {
+      return ExhStoreOptions(vfs);
+    } else {
+      return Options(vfs);
+    }
+  }
+
   /// Ingests `series` with a group commit every kFlushEvery observations
   /// and NO checkpoints — recovery must come from WAL replay alone.
   /// Stops at the first injected fault. Returns the number of
@@ -925,7 +955,7 @@ class WalCrashTest : public ::testing::Test {
   /// flush schedule is part of the store's logical content; the golden
   /// oracle and every recovery tail must follow the same cadence
   /// (recovery replays logged flush markers to reproduce it).
-  static uint64_t IngestWithGroupCommits(SegDiffIndex* store,
+  static uint64_t IngestWithGroupCommits(FeatureStore* store,
                                          const Series& series,
                                          size_t start = 0,
                                          size_t end = static_cast<size_t>(-1)) {
@@ -950,8 +980,9 @@ class WalCrashTest : public ::testing::Test {
 
   /// The oracle: the full series ingested faultlessly under the same
   /// group-commit cadence as the crash runs.
-  std::unique_ptr<SegDiffIndex> BuildGolden() {
-    auto store = SegDiffIndex::Open(golden_path_, Options(nullptr));
+  template <typename Store = SegDiffIndex>
+  std::unique_ptr<Store> BuildGolden() {
+    auto store = Store::Open(golden_path_, OptionsFor<Store>(nullptr));
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_EQ(IngestWithGroupCommits(store->get(), series_), series_.size());
     return std::move(store).value();
@@ -961,15 +992,16 @@ class WalCrashTest : public ::testing::Test {
   /// the last OK FlushPending() may be missing, and appending the
   /// remaining tail (same flush cadence) reproduces the golden tables
   /// byte for byte.
+  template <typename Store>
   void CheckNothingAckedWasLost(FaultInjectionVfs* vfs, uint64_t acked,
-                                SegDiffIndex* golden) {
+                                Store* golden) {
     if (!vfs->FileExists(path_)) {
       // The store may vanish in a crash only if no group commit ever
       // acknowledged it (the first commit fsyncs the directory).
       EXPECT_EQ(acked, 0u) << "acknowledged store vanished in the crash";
       return;
     }
-    auto reopened = SegDiffIndex::Open(path_, Options(vfs));
+    auto reopened = Store::Open(path_, OptionsFor<Store>(vfs));
     if (!reopened.ok()) {
       EXPECT_EQ(acked, 0u)
           << "store with acknowledged commits failed to reopen: "
@@ -978,7 +1010,7 @@ class WalCrashTest : public ::testing::Test {
           << reopened.status().ToString();
       return;
     }
-    SegDiffIndex* store = reopened->get();
+    Store* store = reopened->get();
     EXPECT_GE(store->num_observations(), acked)
         << "observations acknowledged by FlushPending were lost";
     const uint64_t resumed_at = store->num_observations();
@@ -986,6 +1018,100 @@ class WalCrashTest : public ::testing::Test {
     ASSERT_EQ(IngestWithGroupCommits(store, series_, resumed_at),
               series_.size());
     ExpectSameTables(store, golden);
+  }
+
+  /// Crash after the Nth write, for a seeded sample of N: everything the
+  /// store acknowledged before the fault must survive recovery.
+  template <typename Store>
+  void WriteCrashSweep() {
+    auto golden = BuildGolden<Store>();
+    FaultInjectionVfs vfs;
+
+    // Dry run: count the writes a faultless WAL-backed ingest performs.
+    {
+      auto store = Store::Open(path_, OptionsFor<Store>(&vfs));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_EQ(IngestWithGroupCommits(store->get(), series_),
+                series_.size());
+    }
+    const uint64_t total_writes = vfs.counters().writes;
+    ASSERT_GT(total_writes, 0u);
+
+    const uint64_t seed =
+        static_cast<uint64_t>(GetEnvInt64("SEGDIFF_FAULT_SEED", 20080325));
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<uint64_t> pick(0, total_writes - 1);
+    std::vector<uint64_t> fault_points = {0, 1, total_writes - 1};
+    for (int i = 0; i < 9; ++i) {
+      fault_points.push_back(pick(rng));
+    }
+
+    for (const uint64_t n : fault_points) {
+      SCOPED_TRACE("device dies after write " + std::to_string(n) +
+                   " (seed " + std::to_string(seed) + ")");
+      std::remove(path_.c_str());
+      std::remove(Wal::PathFor(path_).c_str());
+      vfs.Reset();
+      vfs.FailAfterWrites(static_cast<int64_t>(n));
+      uint64_t acked = 0;
+      {
+        auto store = Store::Open(path_, OptionsFor<Store>(&vfs));
+        if (store.ok()) {
+          acked = IngestWithGroupCommits(store->get(), series_);
+        }
+        ASSERT_TRUE(vfs.Crash().ok());
+      }
+      vfs.Reset();
+      CheckNothingAckedWasLost(&vfs, acked, golden.get());
+    }
+  }
+
+  /// The "kill -9 with the page cache surviving" crash model: copy the
+  /// db + wal files of a live store mid-ingest. A tiny buffer pool
+  /// forces dirty-page steals, so the copy holds post-checkpoint page
+  /// writes the header and catalog do not describe yet. Recovery must
+  /// roll those pages back to their undo images before logical replay —
+  /// without them, replay double-applies onto the stolen state.
+  template <typename Store>
+  void PreservedWritesKill() {
+    auto golden = BuildGolden<Store>();
+    auto options = OptionsFor<Store>(nullptr);
+    options.buffer_pool_pages = 8;
+    const std::string copy = UniqueTestPath("walcrash", "_copy.db");
+    std::remove(copy.c_str());
+    std::remove(Wal::PathFor(copy).c_str());
+    const size_t kill_at = series_.size() / 2 + 7;  // mid group commit
+    uint64_t acked = 0;
+    {
+      auto store = Store::Open(path_, options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      // The group-commit cadence without the helper's trailing flush: a
+      // flush at kill_at would be a segment boundary golden doesn't have.
+      for (size_t i = 0; i < kill_at; ++i) {
+        ASSERT_TRUE(
+            (*store)->AppendObservation(series_[i].t, series_[i].v).ok());
+        if ((i + 1) % kFlushEvery == 0) {
+          ASSERT_TRUE((*store)->FlushPending().ok());
+          acked = i + 1;
+        }
+      }
+      ASSERT_GT(acked, 0u);
+      CopyFileBytes(path_, copy);
+      CopyFileBytes(Wal::PathFor(path_), Wal::PathFor(copy));
+      // Only the copy "crashed"; the original closes normally below.
+    }
+    auto reopened = Store::Open(copy, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    Store* store = reopened->get();
+    EXPECT_GE(store->num_observations(), acked)
+        << "observations acknowledged by FlushPending were lost";
+    const uint64_t resumed_at = store->num_observations();
+    ASSERT_LE(resumed_at, series_.size());
+    ASSERT_EQ(IngestWithGroupCommits(store, series_, resumed_at),
+              series_.size());
+    ExpectSameTables(store, golden.get());
+    std::remove(copy.c_str());
+    std::remove(Wal::PathFor(copy).c_str());
   }
 
   /// Byte-for-byte file copy (the "kill -9 disk state" capture below).
@@ -1004,48 +1130,35 @@ class WalCrashTest : public ::testing::Test {
   Series series_;
 };
 
-// Crash after the Nth write, for a seeded sample of N: everything the
-// store acknowledged before the fault must survive recovery.
 TEST_F(WalCrashTest, AckedGroupCommitsSurviveWriteCrashes) {
-  auto golden = BuildGolden();
+  WriteCrashSweep<SegDiffIndex>();
+}
+
+// The same sweep over an Exh store: its WAL replay runs the same shared
+// recovery path, re-deriving pair rows instead of features.
+TEST_F(WalCrashTest, ExhAckedGroupCommitsSurviveWriteCrashes) {
+  WriteCrashSweep<ExhIndex>();
+}
+
+// An Exh append whose WAL record cannot be written must fail with
+// nothing applied: no pair rows and no counted observation.
+TEST_F(WalCrashTest, ExhAppendFailsWhenWalWriteFails) {
   FaultInjectionVfs vfs;
+  auto opened = ExhIndex::Open(path_, ExhStoreOptions(&vfs));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ExhIndex* store = opened->get();
+  const size_t kept = 50;
+  ASSERT_EQ(IngestWithGroupCommits(store, series_, 0, kept), kept);
+  const uint64_t observations = store->num_observations();
+  const uint64_t rows = store->GetSizes().feature_rows;
+  ASSERT_GT(rows, 0u);
 
-  // Dry run: count the writes a faultless WAL-backed ingest performs.
-  {
-    auto store = SegDiffIndex::Open(path_, Options(&vfs));
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_EQ(IngestWithGroupCommits(store->get(), series_), series_.size());
-  }
-  const uint64_t total_writes = vfs.counters().writes;
-  ASSERT_GT(total_writes, 0u);
-
-  const uint64_t seed =
-      static_cast<uint64_t>(GetEnvInt64("SEGDIFF_FAULT_SEED", 20080325));
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<uint64_t> pick(0, total_writes - 1);
-  std::vector<uint64_t> fault_points = {0, 1, total_writes - 1};
-  for (int i = 0; i < 9; ++i) {
-    fault_points.push_back(pick(rng));
-  }
-
-  for (const uint64_t n : fault_points) {
-    SCOPED_TRACE("device dies after write " + std::to_string(n) + " (seed " +
-                 std::to_string(seed) + ")");
-    std::remove(path_.c_str());
-    std::remove(Wal::PathFor(path_).c_str());
-    vfs.Reset();
-    vfs.FailAfterWrites(static_cast<int64_t>(n));
-    uint64_t acked = 0;
-    {
-      auto store = SegDiffIndex::Open(path_, Options(&vfs));
-      if (store.ok()) {
-        acked = IngestWithGroupCommits(store->get(), series_);
-      }
-      ASSERT_TRUE(vfs.Crash().ok());
-    }
-    vfs.Reset();
-    CheckNothingAckedWasLost(&vfs, acked, golden.get());
-  }
+  vfs.FailAfterWrites(0);
+  EXPECT_FALSE(
+      store->AppendObservation(series_[kept].t, series_[kept].v).ok());
+  EXPECT_EQ(store->num_observations(), observations);
+  EXPECT_EQ(store->GetSizes().feature_rows, rows);
+  ASSERT_TRUE(vfs.Crash().ok());
 }
 
 // Same sweep over fsync fault points: a group commit whose fsync failed
@@ -1176,56 +1289,12 @@ TEST_F(WalCrashTest, MismatchedWalGenerationIsRefused) {
   EXPECT_EQ((*recovered)->num_observations(), series_.size());
 }
 
-// Replaying the same log twice yields byte-identical tables: recovery
-// must be idempotent, and a read-only open (Abandon) must not advance
-// the store's on-disk state.
-// The opposite crash model from FaultInjectionVfs::Crash(): the process
-// dies but every write it issued SURVIVES (kill -9 — the OS page cache
-// drains to disk after the process is gone). Simulated by copying the
-// db + wal files of a live store mid-ingest: a tiny buffer pool forces
-// dirty-page steals, so the copy holds post-checkpoint page writes the
-// header and catalog do not describe yet. Recovery must roll those
-// pages back to their undo images before logical replay — without
-// them, replay double-applies onto the stolen state.
 TEST_F(WalCrashTest, PreservedWritesKillCrashModelRecovers) {
-  auto golden = BuildGolden();
-  SegDiffOptions options = Options(nullptr);
-  options.buffer_pool_pages = 8;
-  const std::string copy = UniqueTestPath("walcrash", "_copy.db");
-  std::remove(copy.c_str());
-  std::remove(Wal::PathFor(copy).c_str());
-  const size_t kill_at = series_.size() / 2 + 7;  // mid group commit
-  uint64_t acked = 0;
-  {
-    auto store = SegDiffIndex::Open(path_, options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // The group-commit cadence without the helper's trailing flush: a
-    // flush at kill_at would be a segment boundary golden doesn't have.
-    for (size_t i = 0; i < kill_at; ++i) {
-      ASSERT_TRUE(
-          (*store)->AppendObservation(series_[i].t, series_[i].v).ok());
-      if ((i + 1) % kFlushEvery == 0) {
-        ASSERT_TRUE((*store)->FlushPending().ok());
-        acked = i + 1;
-      }
-    }
-    ASSERT_GT(acked, 0u);
-    CopyFileBytes(path_, copy);
-    CopyFileBytes(Wal::PathFor(path_), Wal::PathFor(copy));
-    // Only the copy "crashed"; the original closes normally below.
-  }
-  auto reopened = SegDiffIndex::Open(copy, options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  SegDiffIndex* store = reopened->get();
-  EXPECT_GE(store->num_observations(), acked)
-      << "observations acknowledged by FlushPending were lost";
-  const uint64_t resumed_at = store->num_observations();
-  ASSERT_LE(resumed_at, series_.size());
-  ASSERT_EQ(IngestWithGroupCommits(store, series_, resumed_at),
-            series_.size());
-  ExpectSameTables(store, golden.get());
-  std::remove(copy.c_str());
-  std::remove(Wal::PathFor(copy).c_str());
+  PreservedWritesKill<SegDiffIndex>();
+}
+
+TEST_F(WalCrashTest, ExhPreservedWritesKillCrashModelRecovers) {
+  PreservedWritesKill<ExhIndex>();
 }
 
 TEST_F(WalCrashTest, ReplayIsIdempotentByteForByte) {

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "storage/db.h"
+#include "storage/snapshot.h"
+#include "storage/zone_map.h"
 
 namespace segdiff {
 namespace {
@@ -180,46 +184,6 @@ TEST_F(QueryTest, IndexScanRequiresIndex) {
                   .IsInvalidArgument());
 }
 
-TEST(PlannerTest, PicksIndexForSelectiveQueries) {
-  PlanChoice choice =
-      ChooseAccessPath(100000, 0.0, 100.0, 2.0, /*index_available=*/true);
-  EXPECT_EQ(choice.path, AccessPath::kIndexScan);
-  EXPECT_NEAR(choice.estimated_selectivity, 0.02, 1e-9);
-}
-
-TEST(PlannerTest, PicksSeqScanForDenseQueries) {
-  PlanChoice choice = ChooseAccessPath(100000, 0.0, 100.0, 60.0, true);
-  EXPECT_EQ(choice.path, AccessPath::kSeqScan);
-  EXPECT_NEAR(choice.estimated_selectivity, 0.6, 1e-9);
-}
-
-TEST(PlannerTest, NoIndexMeansSeqScan) {
-  PlanChoice choice = ChooseAccessPath(100000, 0.0, 100.0, 0.5, false);
-  EXPECT_EQ(choice.path, AccessPath::kSeqScan);
-}
-
-TEST(PlannerTest, ClampsAndDegenerates) {
-  // Query beyond the data range: selectivity clamps to 1.
-  EXPECT_DOUBLE_EQ(
-      ChooseAccessPath(10, 0.0, 1.0, 5.0, true).estimated_selectivity, 1.0);
-  // Below the range: clamps to 0 -> index.
-  EXPECT_EQ(ChooseAccessPath(10, 5.0, 9.0, 4.0, true).path,
-            AccessPath::kIndexScan);
-  // Single-value column.
-  EXPECT_DOUBLE_EQ(
-      ChooseAccessPath(10, 3.0, 3.0, 5.0, true).estimated_selectivity, 1.0);
-  EXPECT_DOUBLE_EQ(
-      ChooseAccessPath(10, 3.0, 3.0, 2.0, true).estimated_selectivity, 0.0);
-  // Empty table.
-  EXPECT_EQ(ChooseAccessPath(0, 0.0, 1.0, 0.1, true).path,
-            AccessPath::kSeqScan);
-  // Custom threshold.
-  PlannerOptions options;
-  options.index_selectivity_threshold = 0.9;
-  EXPECT_EQ(ChooseAccessPath(10, 0.0, 100.0, 60.0, true, options).path,
-            AccessPath::kIndexScan);
-}
-
 TEST(PlannerTest, CostModelPrefersIndexForSparseQueries) {
   TableStatsView stats;
   stats.row_count = 1000000;
@@ -270,26 +234,118 @@ TEST(PlannerTest, CostModelRejectsMalformedStats) {
   EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
 }
 
+/// A frozen (dt, dv) table view for PlanRangeQuery: `rows` records
+/// appended 100 per page, with `make(i)` giving record i's columns.
+template <typename Make>
+TableSnapshotView MakeView(int rows, const Make& make) {
+  TableSnapshotView view;
+  auto zone_map = std::make_shared<ZoneMap>(2);
+  for (int i = 0; i < rows; ++i) {
+    const std::pair<double, double> cols = make(i);
+    char record[16];
+    EncodeDouble(record, cols.first);
+    EncodeDouble(record + 8, cols.second);
+    zone_map->OnAppend(RecordId{static_cast<PageId>(i / 100),
+                                static_cast<uint32_t>(i % 100)},
+                       record);
+  }
+  view.heap_meta.record_count = static_cast<uint64_t>(rows);
+  view.heap_meta.page_count = static_cast<uint64_t>((rows + 99) / 100);
+  view.zone_map = std::move(zone_map);
+  return view;
+}
+
+Predicate DtDvBelow(double t, double v) {
+  Predicate predicate;
+  predicate.And(0, CmpOp::kLe, t);
+  predicate.And(1, CmpOp::kLe, v);
+  return predicate;
+}
+
+TEST(PlannerTest, PlanRangeQueryPricesFromSnapshotStats) {
+  Rng rng(7);
+  const TableSnapshotView view = MakeView(10000, [&rng](int) {
+    return std::make_pair(rng.Uniform(0, 100), rng.Uniform(-10, 10));
+  });
+  // Selective on both key columns: a few random fetches beat reading
+  // the pages the zone maps cannot prune.
+  PlanChoice choice =
+      PlanRangeQuery(view, nullptr, DtDvBelow(1.0, -9.8), true);
+  EXPECT_EQ(choice.path, AccessPath::kIndexScan);
+  EXPECT_NEAR(choice.estimated_selectivity, 0.01, 0.005);
+  // Dense: random fetches dominate.
+  choice = PlanRangeQuery(view, nullptr, DtDvBelow(60.0, 0.0), true);
+  EXPECT_EQ(choice.path, AccessPath::kSeqScan);
+  EXPECT_NEAR(choice.estimated_selectivity, 0.6, 0.01);
+  // No index, or no statistics at all: sequential scan.
+  EXPECT_EQ(PlanRangeQuery(view, nullptr, DtDvBelow(1.0, -9.8), false).path,
+            AccessPath::kSeqScan);
+  EXPECT_EQ(PlanRangeQuery(TableSnapshotView{}, nullptr, DtDvBelow(1.0, -9.8),
+                           true)
+                .path,
+            AccessPath::kSeqScan);
+  // Bounds beyond the observed range clamp to 1 and 0.
+  EXPECT_DOUBLE_EQ(
+      PlanRangeQuery(view, nullptr, DtDvBelow(500.0, 0.0), true)
+          .estimated_selectivity,
+      1.0);
+  EXPECT_DOUBLE_EQ(
+      PlanRangeQuery(view, nullptr, DtDvBelow(-5.0, 0.0), true)
+          .estimated_selectivity,
+      0.0);
+  // A single-value column is all-or-nothing.
+  const TableSnapshotView single = MakeView(1000, [](int i) {
+    return std::make_pair(3.0, static_cast<double>(i % 7));
+  });
+  EXPECT_DOUBLE_EQ(
+      PlanRangeQuery(single, nullptr, DtDvBelow(5.0, 10.0), true)
+          .estimated_selectivity,
+      1.0);
+  EXPECT_DOUBLE_EQ(
+      PlanRangeQuery(single, nullptr, DtDvBelow(2.0, 10.0), true)
+          .estimated_selectivity,
+      0.0);
+}
+
 TEST(PlannerTest, MalformedStatsFallBackToSeqScan) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  // Inverted range: the stats are inconsistent, so no selectivity
-  // estimate is trustworthy; the safe path is the sequential scan.
-  PlanChoice inverted = ChooseAccessPath(10, 9.0, 5.0, 7.0, true);
+  Rng rng(7);
+  const TableSnapshotView view = MakeView(10000, [&rng](int) {
+    return std::make_pair(rng.Uniform(0, 100), rng.Uniform(-10, 10));
+  });
+  ASSERT_EQ(PlanRangeQuery(view, nullptr, DtDvBelow(1.0, -9.8), true).path,
+            AccessPath::kIndexScan);
+  // A NaN bound must not reach the cost model as a fraction of 0, which
+  // would wrongly pick the index for what may be the whole table.
+  for (const Predicate& bad :
+       {DtDvBelow(nan, -9.8), DtDvBelow(1.0, nan), DtDvBelow(nan, nan)}) {
+    const PlanChoice choice = PlanRangeQuery(view, nullptr, bad, true);
+    EXPECT_EQ(choice.path, AccessPath::kSeqScan);
+    EXPECT_DOUBLE_EQ(choice.estimated_selectivity, 1.0);
+  }
+  // Inverted statistics: a key column with no observed (non-NaN) value
+  // has lo > hi, which is no evidence to plan on.
+  const TableSnapshotView unobserved = MakeView(10000, [&rng, nan](int) {
+    return std::make_pair(nan, rng.Uniform(-10, 10));
+  });
+  const PlanChoice inverted =
+      PlanRangeQuery(unobserved, nullptr, DtDvBelow(1.0, 0.0), true);
   EXPECT_EQ(inverted.path, AccessPath::kSeqScan);
   EXPECT_DOUBLE_EQ(inverted.estimated_selectivity, 1.0);
-  // NaN bounds must not reach the degenerate branch, where a failed
-  // comparison would report selectivity 0 and wrongly pick the index.
-  EXPECT_EQ(ChooseAccessPath(10, nan, 100.0, 7.0, true).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(10, 0.0, nan, 7.0, true).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(10, 0.0, 100.0, nan, true).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(10, nan, nan, nan, true).path,
-            AccessPath::kSeqScan);
-  // Zero-width is NOT malformed: still all-or-nothing.
-  EXPECT_EQ(ChooseAccessPath(10, 3.0, 3.0, 2.0, true).path,
-            AccessPath::kIndexScan);
+  // The same guards on hand-built statistics.
+  TableStatsView stats;
+  stats.row_count = 1000;
+  stats.pages_total = 10;
+  stats.pages_after_pruning = 10;
+  stats.index_entry_fraction = 0.001;
+  stats.heap_fetch_fraction = 0.001;
+  ASSERT_EQ(ChooseAccessPath(stats, true).path, AccessPath::kIndexScan);
+  TableStatsView bad = stats;
+  bad.pages_after_pruning = 11;  // inverted: more survivors than pages
+  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
+  bad = stats;
+  bad.heap_fetch_fraction = nan;
+  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
 }
 
 }  // namespace
