@@ -17,7 +17,8 @@
 #      surfacing)
 #   4. an AddressSanitizer build running the streaming-ingest, storage,
 #      SegDiff and Exh store suites (the subsystems that serialize/restore
-#      raw state blobs through the shared FeatureStore lifecycle)
+#      raw state blobs through the shared FeatureStore lifecycle) and the
+#      transect shard suite (the shard-manifest decoder's rejections)
 #      plus the `faults` and `governance` ctest groups (crash-recovery,
 #      fault injection, and cancellation — the error paths that exercise
 #      partially-initialized and partially-released state)
@@ -183,10 +184,11 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test exh_naive_test \
-    fault_injection_test chaos_test transect_chaos_test governance_test
+    transect_shard_test fault_injection_test chaos_test transect_chaos_test \
+    governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|TransectShardTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -96,7 +96,7 @@ std::string ExhIndex::EncodeIngestState() const {
 Status ExhIndex::RestoreIngestState() {
   auto blob = db_->GetMeta(kIngestStateKey);
   if (!blob.ok()) {
-    // Legacy or fresh store: appends start with an empty window.
+    // Fresh store (OpenStore refused any filled store without a blob).
     return blob.status().IsNotFound() ? Status::OK() : blob.status();
   }
   ByteReader r(*blob);
@@ -160,10 +160,11 @@ Status ExhIndex::SearchScan(bool drop, double T, double V,
                             const SearchOptions& options, SearchScope& scope,
                             std::vector<ExhEvent>* events) {
   // Zone maps feed both the pruned sequential scan and the kAuto cost
-  // model; legacy stores build theirs here, once. The attach mutates the
-  // live table, so writers are excluded too (ingest_mu_ before lazy_mu_)
-  // — the map becomes visible to later snapshots; this search's
-  // (earlier) snapshot scans unpruned, which is correct, just slower.
+  // model; a map dropped at open is rebuilt here, once. The attach
+  // mutates the live table, so writers are excluded too (ingest_mu_
+  // before lazy_mu_) — the map becomes visible to later snapshots; this
+  // search's (earlier) snapshot scans unpruned, which is correct, just
+  // slower.
   {
     std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
     std::lock_guard<std::mutex> lock(lazy_mu_);

@@ -44,9 +44,9 @@ class ExhIndex : public FeatureStore {
   /// Opens (creating if missing) the Exh store at `path`. Reopened
   /// stores resume appending: the trailing sample window and the build
   /// window are persisted in the store and restored here, persisted
-  /// parameters taking precedence over `options`. Legacy stores (written
-  /// before state persistence) reopen query-only-equivalent: appends
-  /// start a fresh window, so pairs spanning the reopen gap are lost.
+  /// parameters taking precedence over `options`. A store whose pair
+  /// table holds rows but has no ingest-state blob (written before state
+  /// persistence) is refused with NotSupported and left untouched.
   ///
   /// Appends insert a (dt, dv, t) row for every retained earlier sample
   /// within the window: rows are immediately searchable, so FlushPending
@@ -74,8 +74,8 @@ class ExhIndex : public FeatureStore {
   Status OpenImpl() override;
   Status IngestStep(double t, double v) override;
   std::string EncodeIngestState() const override;
-  /// Restores ingest state on reopen, adopting persisted build
-  /// parameters; silently absent for legacy stores.
+  /// Restores ingest state on reopen from the meta blob, adopting the
+  /// persisted build window; a fresh store has none.
   Status RestoreIngestState();
   /// The single range query dt <= T AND dv <=/>= V, planned and run
   /// against the search's snapshot.

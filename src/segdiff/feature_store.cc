@@ -39,6 +39,7 @@ Status FeatureStore::OpenStore(const std::string& path,
     // (every row and index insert it derives) on replay.
     db_options.wal_observation_log = true;
     SEGDIFF_ASSIGN_OR_RETURN(db_, Database::Open(path, db_options));
+    SEGDIFF_RETURN_IF_ERROR(RequireIngestState());
     SEGDIFF_RETURN_IF_ERROR(OpenImpl());
     return DrainRecoveredOps();
   }();
@@ -52,6 +53,26 @@ Status FeatureStore::OpenStore(const std::string& path,
   return Status::OK();
 }
 
+Status FeatureStore::RequireIngestState() const {
+  Status blob = db_->GetMeta(ingest_state_key_).status();
+  if (!blob.IsNotFound()) {
+    return blob;  // present (OK), or a lookup error
+  }
+  uint64_t rows = 0;
+  for (const auto& table : db_->tables()) {
+    rows += table->row_count();
+  }
+  if (rows == 0) {
+    return Status::OK();  // fresh, or torn while its tables were created
+  }
+  return Status::NotSupported(
+      db_->pager()->path() + ": store holds " + std::to_string(rows) +
+      " rows but no '" + ingest_state_key_ +
+      "' ingest-state blob (written before ingest state was persisted); "
+      "such stores are no longer supported, only stores that persist "
+      "their ingest state open");
+}
+
 Status FeatureStore::DrainRecoveredOps() {
   if (!db_->HasRecoveredOps()) {
     return Status::OK();
@@ -60,10 +81,10 @@ Status FeatureStore::DrainRecoveredOps() {
   // Replay through the normal pipeline, suspended so nothing is logged
   // twice. The restored ingest-state blob is checkpoint-consistent with
   // the tables (SaveIngestState never WAL-logs it), so the backlog
-  // normally applies in full; any observation the restored state does
-  // already cover (e.g. a legacy store upgraded mid-stream) is rejected
-  // by the pipeline's strictly-increasing-timestamp rule and skipped,
-  // which keeps the replay idempotent.
+  // normally applies in full. An observation the pipeline refused live
+  // was still logged — the strictly-increasing-timestamp check runs
+  // after the WAL append — so replay refuses it again and skips it,
+  // exactly as the live append did.
   Wal::Suspend suspend(db_->wal());
   for (const WalRecord& op : ops) {
     if (op.type == WalRecordType::kFlush) {

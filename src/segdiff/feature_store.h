@@ -243,7 +243,11 @@ class FeatureStore {
   FeatureStore(const StoreOptions& options, const char* ingest_state_key);
 
   /// Opens the database at `path`, runs OpenImpl, then replays the WAL's
-  /// recovered backlog. A failed open must not mutate the store: the
+  /// recovered backlog. A store whose tables hold rows but which has no
+  /// ingest-state blob (written before ingest state was persisted) is
+  /// refused with NotSupported before OpenImpl can touch it; a fresh
+  /// store, or one torn while its tables were being created, has no
+  /// rows and opens. A failed open must not mutate the store: the
   /// database handle is abandoned (it neither checkpoints nor flushes
   /// on close) and CloseStore will not save the default or partial
   /// ingest state over the persisted blob — the files stay as they
@@ -341,6 +345,9 @@ class FeatureStore {
   uint64_t observations_ = 0;
 
  private:
+  /// The NotSupported check OpenStore runs before OpenImpl. Reads only
+  /// the catalog's in-memory row counts and meta blobs.
+  Status RequireIngestState() const;
   /// Replays the WAL's recovered observation backlog through the
   /// pipeline (under Wal::Suspend): every acknowledged observation a
   /// crash interrupted lands back in the feature tables.

@@ -1,7 +1,6 @@
 #include "segdiff/segdiff_index.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <utility>
 
@@ -270,60 +269,9 @@ std::string SegDiffIndex::EncodeIngestState() const {
 Status SegDiffIndex::RestoreIngestState() {
   auto blob = db_->GetMeta(kIngestStateKey);
   if (!blob.ok()) {
-    if (!blob.status().IsNotFound()) {
-      return blob.status();
-    }
-    // Legacy store (written before ingest-state persistence) or fresh
-    // database. Non-empty legacy stores always ended with a flushed
-    // trailing segment, so the resumable state is reconstructible from
-    // the segment directory: replay the chain into the extractor's pair
-    // window (with the standard eviction rule) and anchor the segmenter
-    // at the last emitted endpoint. Lifetime counters are unknowable and
-    // restart at zero.
-    if (segments_table_ == nullptr || segments_table_->row_count() == 0) {
-      return Status::OK();
-    }
-    auto extractor = std::make_unique<ExtractorState>();
-    auto segmenter = std::make_unique<SegmenterState>();
-    std::deque<DataSegment> window;
-    // The reconstruction assumes the scan yields segments in temporal
-    // (insertion) order — the anchor and pair window come from the last
-    // rows seen. Validate the chain instead of trusting it: a violated
-    // order would silently corrupt the resume point.
-    double prev_end_t = -kInf;
-    SEGDIFF_RETURN_IF_ERROR(segments_table_->Scan(
-        [&](const char* record, RecordId, bool* keep_going) -> Status {
-          *keep_going = true;
-          DataSegment segment;
-          segment.start.t = DecodeDoubleColumn(record, 0);
-          segment.start.v = DecodeDoubleColumn(record, 1);
-          segment.end.t = DecodeDoubleColumn(record, 2);
-          segment.end.v = DecodeDoubleColumn(record, 3);
-          if (!(segment.start.t < segment.end.t) ||
-              segment.start.t < prev_end_t) {
-            return Status::Corruption(
-                "segment directory is not a temporal segment chain");
-          }
-          prev_end_t = segment.end.t;
-          const double win_start = segment.start.t - options_.window_s;
-          while (!window.empty() && window.front().end.t <= win_start) {
-            window.pop_front();
-          }
-          window.push_back(segment);
-          return Status::OK();
-        }));
-    extractor->window.assign(window.begin(), window.end());
-    extractor->last_end_t = window.back().end.t;
-    extractor->has_last = true;
-    extractor->stats.segments_in = segments_table_->row_count();
-    segmenter->has_anchor = true;
-    segmenter->anchor = window.back().end;
-    segmenter->segments_emitted = segments_table_->row_count();
-    restored_extractor_ = std::move(extractor);
-    restored_segmenter_ = std::move(segmenter);
-    return Status::OK();
+    // Fresh store (OpenStore refused any filled store without a blob).
+    return blob.status().IsNotFound() ? Status::OK() : blob.status();
   }
-
   ByteReader r(*blob);
   SEGDIFF_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   SEGDIFF_ASSIGN_OR_RETURN(uint32_t version, r.U32());
@@ -421,7 +369,7 @@ Status SegDiffIndex::EnsureSegmentDirectory() {
 }
 
 Status SegDiffIndex::EnsureZoneMaps(SearchKind kind) {
-  // Legacy stores build zone maps lazily here; serialize against both
+  // Maps dropped at open are rebuilt lazily here; serialize against both
   // concurrent first searches (the build) and ingest (the attach would
   // race OnAppend). Fresh stores hit only the is-attached check.
   std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
@@ -498,7 +446,7 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   // Everything that lazily mutates index state happens before any task
   // can run on a worker thread; the tasks themselves are read-only.
   // Zone maps drive both page pruning inside the sequential scans and
-  // the kAuto cost model; legacy stores build theirs here, once.
+  // the kAuto cost model; a map dropped at open is rebuilt here, once.
   SEGDIFF_RETURN_IF_ERROR(EnsureZoneMaps(kind));
 
   // Executor-level governance: every scan below checks `ctx` at page

@@ -58,9 +58,9 @@ class SegDiffIndex : public FeatureStore {
   /// segment, the extractor's pair window, and the build parameters
   /// (eps, window, collected kinds) are persisted in the store and
   /// restored here — persisted build parameters take precedence over
-  /// the corresponding fields of `options`. Stores written before state
-  /// persistence existed are reconstructed from their segment directory
-  /// (resuming at the last flushed segment boundary).
+  /// the corresponding fields of `options`. A store whose tables hold
+  /// rows but has no ingest-state blob (written before state persistence
+  /// existed) is refused with NotSupported and left untouched.
   ///
   /// Appends feed the streaming pipeline (segmenter -> segment
   /// directory + extractor -> feature tables). Features of the open
@@ -111,8 +111,8 @@ class SegDiffIndex : public FeatureStore {
   /// One completed segment from the segmenter: segment directory row +
   /// in-memory directory + extractor.
   Status OnSegment(const DataSegment& segment);
-  /// Restores ingest state on reopen: from the meta blob when present,
-  /// otherwise reconstructed from the segment directory (legacy stores).
+  /// Restores ingest state on reopen from the meta blob, adopting the
+  /// persisted build parameters; a fresh store has none.
   Status RestoreIngestState();
   Result<std::vector<PairId>> Search(SearchKind kind, double T, double V,
                                      const SearchOptions& options,
@@ -131,8 +131,8 @@ class SegDiffIndex : public FeatureStore {
   /// materializes t_a from the segment directory.
   Status FinishPairs(std::vector<PairId>* results);
   Status EnsureSegmentDirectory();
-  /// Builds any missing zone maps for the kind's feature tables (legacy
-  /// stores); fresh tables maintain theirs incrementally on insert.
+  /// Builds any missing zone maps for the kind's feature tables (maps
+  /// dropped at open); live tables maintain theirs incrementally.
   /// Must run before a search fans out to worker threads.
   Status EnsureZoneMaps(SearchKind kind);
 

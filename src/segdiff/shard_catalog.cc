@@ -91,7 +91,6 @@ constexpr const char* ShardCatalog::kManifestName;
 constexpr const char* MigrationManifest::kFileName;
 
 ShardCatalog ShardCatalog::Place(int sensor_count, int sensors_per_shard,
-                                 bool flat,
                                  const std::string& dir_prefix) {
   ShardCatalog catalog;
   catalog.sensor_count_ = sensor_count;
@@ -106,11 +105,9 @@ ShardCatalog ShardCatalog::Place(int sensor_count, int sensors_per_shard,
     info.first_sensor = first;
     info.sensor_count =
         std::min(catalog.sensors_per_shard_, sensor_count - first);
-    if (!flat) {
-      char seq[8];
-      std::snprintf(seq, sizeof(seq), "%05zu", catalog.shards_.size());
-      info.dir = dir_prefix + seq;
-    }
+    char seq[8];
+    std::snprintf(seq, sizeof(seq), "%05zu", catalog.shards_.size());
+    info.dir = dir_prefix + seq;
     catalog.shards_.push_back(std::move(info));
   }
   return catalog;
@@ -141,7 +138,7 @@ Result<ShardCatalog> ShardCatalog::Decode(const char* data, size_t size,
 
   size_t pos = kHeaderSize;
   const size_t end = size - 4;
-  int next_sensor = 0;
+  const int64_t sps = catalog.sensors_per_shard_;
   for (uint32_t i = 0; i < shard_count; ++i) {
     if (pos + 10 > end) {
       return CorruptManifest(what, "shard entry overruns file");
@@ -156,19 +153,39 @@ Result<ShardCatalog> ShardCatalog::Decode(const char* data, size_t size,
     }
     info.dir.assign(data + pos, dir_len);
     pos += dir_len;
-    // The shard ranges must partition [0, sensor_count) in order —
-    // anything else would silently drop or double-search sensors.
-    if (info.first_sensor != next_sensor || info.sensor_count <= 0) {
+    // Shard i must hold exactly the range Place gives it: ShardOf routes
+    // by sensor / sensors_per_shard, so any other partition would index
+    // past the shard list or search the wrong stores.
+    const int64_t first = static_cast<int64_t>(i) * sps;
+    if (first >= catalog.sensor_count_ || info.first_sensor != first ||
+        info.sensor_count != std::min<int64_t>(
+                                 sps, catalog.sensor_count_ - first)) {
       return CorruptManifest(
-          what, "shard ranges do not partition the sensor space");
+          what, "shard " + std::to_string(i) + " range [" +
+                    std::to_string(info.first_sensor) + ", +" +
+                    std::to_string(info.sensor_count) +
+                    ") is not its placement under " + std::to_string(sps) +
+                    " sensors per shard");
     }
-    next_sensor += info.sensor_count;
+    // Stores resolve (and GcLayout deletes) under root + "/" + dir.
+    if (info.dir.empty()) {
+      return Status::NotSupported(
+          "shard catalog " + what + ": shard " + std::to_string(i) +
+          " has an empty directory (pre-sharding flat layout); flat "
+          "layouts are no longer supported, only per-shard directories");
+    }
+    if (info.dir == "." || info.dir == ".." ||
+        info.dir.find('/') != std::string::npos) {
+      return CorruptManifest(what, "shard " + std::to_string(i) +
+                                       " directory '" + info.dir +
+                                       "' is not a plain name");
+    }
     catalog.shards_.push_back(std::move(info));
   }
   if (pos != end) {
     return CorruptManifest(what, "trailing bytes after shard entries");
   }
-  if (next_sensor != catalog.sensor_count_) {
+  if (static_cast<int64_t>(shard_count) * sps < catalog.sensor_count_) {
     return CorruptManifest(what,
                            "shard ranges do not cover all sensors");
   }
@@ -210,11 +227,7 @@ Status ShardCatalog::Save(Vfs* vfs, const std::string& root) const {
 
 std::string ShardCatalog::ShardDirPath(const std::string& root,
                                        size_t index) const {
-  const ShardInfo& info = shards_[index];
-  if (info.dir.empty()) {
-    return root;
-  }
-  return root + "/" + info.dir;
+  return root + "/" + shards_[index].dir;
 }
 
 std::string ShardCatalog::StorePath(const std::string& root,

@@ -8,13 +8,11 @@
 // routing a query needs no lookup table beyond the manifest. The
 // manifest is versioned and CRC32C-framed — a torn or bit-rotted
 // catalog surfaces as a loud Corruption naming the file, never as a
-// silently mis-routed search.
-//
-// Legacy flat layouts (pre-sharding: sensor<k>.db directly under the
-// root) are adopted on first open by writing a manifest whose shard
-// directories are all "" — the ranges still partition the sensor space
-// for scatter-gather fan-out, but every store path resolves into the
-// root, so existing data keeps working unchanged.
+// silently mis-routed search. Decode also checks that every range is
+// exactly the one Place writes for its index and that every shard
+// directory is one plain name under the root. A manifest with an empty
+// directory name (a pre-sharding flat layout, whose stores sat directly
+// under the root) is NotSupported.
 
 #ifndef SEGDIFF_SEGDIFF_SHARD_CATALOG_H_
 #define SEGDIFF_SEGDIFF_SHARD_CATALOG_H_
@@ -28,8 +26,8 @@
 
 namespace segdiff {
 
-/// One contiguous sensor-id range and the directory (relative to the
-/// transect root; "" = the root itself) holding its stores.
+/// One contiguous sensor-id range and the directory (one path component
+/// under the transect root) holding its stores.
 struct ShardInfo {
   int first_sensor = 0;
   int sensor_count = 0;
@@ -46,17 +44,14 @@ class ShardCatalog {
 
   /// Consistent placement: `sensor_count` sensors split into
   /// ceil(n / sensors_per_shard) contiguous ranges named
-  /// <dir_prefix>00000, <dir_prefix>00001, ... With `flat` every
-  /// range's dir is "" (legacy adoption of a pre-sharding directory).
-  /// Rebalance targets pass a generation-tagged prefix ("g<sps>-shard")
-  /// so a half-built new layout can never collide with the live one.
+  /// <dir_prefix>00000, <dir_prefix>00001, ... Rebalance targets pass
+  /// a generation-tagged prefix ("g<sps>-shard") so a half-built new
+  /// layout can never collide with the live one.
   static ShardCatalog Place(int sensor_count, int sensors_per_shard,
-                            bool flat = false,
                             const std::string& dir_prefix = "shard");
 
   /// Reads and verifies the manifest at `<root>/CATALOG`. NotFound when
-  /// no manifest exists; Corruption (loud, naming the file) on a bad
-  /// magic, version, CRC, or an inconsistent range partition.
+  /// no manifest exists; otherwise as Decode.
   static Result<ShardCatalog> Load(Vfs* vfs, const std::string& root);
 
   /// Writes the manifest atomically: the framed bytes go to
@@ -68,7 +63,10 @@ class ShardCatalog {
 
   /// The CRC32C-framed manifest bytes / their verifying parser.
   /// Factored out so MigrationManifest can embed whole catalogs;
-  /// `what` names the container in Corruption messages.
+  /// `what` names the container in error messages. Corruption (loud,
+  /// naming the file) on a bad magic, version or CRC, on shard ranges
+  /// other than the ones Place writes, or on a shard directory that is
+  /// not one plain path component; NotSupported on an empty one.
   std::string Encode() const;
   static Result<ShardCatalog> Decode(const char* data, size_t size,
                                      const std::string& what);
@@ -84,7 +82,7 @@ class ShardCatalog {
     return static_cast<size_t>(sensor / sensors_per_shard_);
   }
 
-  /// Absolute directory of one shard ("" entries resolve to the root).
+  /// Absolute directory of one shard.
   std::string ShardDirPath(const std::string& root, size_t index) const;
 
   /// Absolute path of one sensor's store file.

@@ -191,6 +191,13 @@ Result<std::unique_ptr<TransectIndex>> TransectIndex::Open(
           "transect " + directory +
           ": MIGRATION manifest present but no CATALOG");
     }
+    if (vfs->FileExists(directory + "/sensor0.db")) {
+      return Status::NotSupported(
+          "transect " + directory +
+          " has sensor0.db but no CATALOG (pre-sharding flat layout); "
+          "flat layouts are no longer supported, only sharded transects "
+          "with a CATALOG open");
+    }
     if (sensor_count <= 0) {
       return Status::InvalidArgument("sensor_count must be positive");
     }
@@ -202,16 +209,10 @@ Result<std::unique_ptr<TransectIndex>> TransectIndex::Open(
     if (sensors_per_shard <= 0) {
       sensors_per_shard = 256;
     }
-    // A pre-sharding flat directory is adopted in place: same ranges
-    // for fan-out, but every store path stays in the root.
-    const bool flat = vfs->FileExists(directory + "/sensor0.db");
-    transect->catalog_ =
-        ShardCatalog::Place(sensor_count, sensors_per_shard, flat);
+    transect->catalog_ = ShardCatalog::Place(sensor_count, sensors_per_shard);
     for (size_t i = 0; i < transect->catalog_.shard_count(); ++i) {
-      if (!transect->catalog_.shard(i).dir.empty()) {
-        SEGDIFF_RETURN_IF_ERROR(
-            vfs->MakeDir(transect->catalog_.ShardDirPath(directory, i)));
-      }
+      SEGDIFF_RETURN_IF_ERROR(
+          vfs->MakeDir(transect->catalog_.ShardDirPath(directory, i)));
     }
     SEGDIFF_RETURN_IF_ERROR(transect->catalog_.Save(vfs, directory));
   } else {
@@ -283,17 +284,6 @@ Status TransectIndex::RecoverMigration(Vfs* vfs, const std::string& directory,
 Status TransectIndex::GcLayout(Vfs* vfs, const std::string& directory,
                                const ShardCatalog& doomed,
                                const ShardCatalog& keep) {
-  std::unordered_set<std::string> keep_paths;
-  for (int s = 0; s < keep.sensor_count(); ++s) {
-    keep_paths.insert(keep.StorePath(directory, s));
-  }
-  for (int s = 0; s < doomed.sensor_count(); ++s) {
-    const std::string path = doomed.StorePath(directory, s);
-    if (keep_paths.count(path) != 0) {
-      continue;  // flat layouts can share paths with their successor
-    }
-    SEGDIFF_RETURN_IF_ERROR(RemoveStoreFiles(vfs, path));
-  }
   std::unordered_set<std::string> keep_dirs;
   for (size_t i = 0; i < keep.shard_count(); ++i) {
     keep_dirs.insert(keep.shard(i).dir);
@@ -301,13 +291,13 @@ Status TransectIndex::GcLayout(Vfs* vfs, const std::string& directory,
   std::unordered_set<std::string> visited;
   for (size_t i = 0; i < doomed.shard_count(); ++i) {
     const std::string& dir = doomed.shard(i).dir;
-    if (dir.empty() || keep_dirs.count(dir) != 0 ||
-        !visited.insert(dir).second) {
+    if (keep_dirs.count(dir) != 0 || !visited.insert(dir).second) {
       continue;
     }
     const std::string full = directory + "/" + dir;
-    // A crash can leave strays (repair temps, half-copied stores) in a
-    // doomed directory; everything in it belongs to the doomed layout.
+    // Everything in a doomed directory belongs to the doomed layout: its
+    // stores, their logs, and any strays a crash left (repair temps,
+    // half-copied stores).
     Result<std::vector<std::string>> entries = vfs->ListDir(full);
     if (entries.status().IsNotFound()) {
       continue;  // an earlier recovery pass already removed it
@@ -632,7 +622,7 @@ Status TransectIndex::Rebalance(int new_sensors_per_shard) {
     // Generation-tagged directories ("g<sps>-shard00000", ...) so a
     // half-built target can never collide with the live layout.
     target = ShardCatalog::Place(
-        catalog_.sensor_count(), new_sensors_per_shard, /*flat=*/false,
+        catalog_.sensor_count(), new_sensors_per_shard,
         "g" + std::to_string(new_sensors_per_shard) + "-shard");
   }
 
@@ -790,7 +780,6 @@ Result<TransectHealthReport> TransectIndex::Verify(
           scanned = false;
         } else {
           report.pages_checked += scrubbed->pages_checked;
-          report.pages_unverifiable += scrubbed->pages_unverifiable;
           if (!scrubbed->clean()) {
             ++report.sensors_corrupt;
             report.pages_corrupt += scrubbed->corrupt.size();

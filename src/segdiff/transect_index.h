@@ -118,8 +118,7 @@ struct TransectHealthReport {
   int sensors_unavailable = 0;  ///< transient IO; retry the sweep
   uint64_t pages_checked = 0;
   uint64_t pages_corrupt = 0;
-  uint64_t pages_unverifiable = 0;  ///< legacy v1 pages, no checksums
-  uint64_t quarantined_pages = 0;   ///< poisoned by earlier reads
+  uint64_t quarantined_pages = 0;  ///< poisoned by earlier reads
   uint64_t bytes_scanned = 0;
   std::vector<TransectSensorIssue> issues;
 
@@ -162,9 +161,9 @@ class TransectIndex {
   /// First open writes the shard catalog and creates the shard
   /// directories; reopens load the catalog (Corruption if it fails
   /// verification) and require `sensor_count` to match it (<= 0 adopts
-  /// the persisted count). A pre-sharding flat directory (sensor<k>.db
-  /// directly under the root) is adopted in place. Stores themselves
-  /// open lazily, on first touch.
+  /// the persisted count). A pre-sharding flat directory (sensor0.db
+  /// directly under the root, no CATALOG) is NotSupported and left
+  /// untouched. Stores themselves open lazily, on first touch.
   static Result<std::unique_ptr<TransectIndex>> Open(
       const std::string& directory, int sensor_count,
       const TransectOptions& options);
@@ -286,9 +285,9 @@ class TransectIndex {
   static Status RecoverMigration(Vfs* vfs, const std::string& directory,
                                  const ShardCatalog& live);
 
-  /// Deletes every store file (and WAL sidecar) of `doomed`'s layout
-  /// and removes its now-empty shard directories. Paths shared with
-  /// `keep` are left alone; missing files are fine (idempotent across
+  /// Deletes every shard directory of `doomed`'s layout with everything
+  /// in it (stores, WAL sidecars, crash strays). Directories `keep` also
+  /// uses are left alone; missing ones are fine (idempotent across
   /// repeated recovery passes).
   static Status GcLayout(Vfs* vfs, const std::string& directory,
                          const ShardCatalog& doomed,

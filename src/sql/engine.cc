@@ -226,8 +226,8 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt,
                                           bool explain_only) {
   SEGDIFF_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table));
   const TableSchema& schema = table->schema();
-  // Stores written before zone maps existed rebuild theirs on first
-  // query; fresh tables maintain them incrementally (no-op here).
+  // A map dropped at open (absent or inconsistent blob) is rebuilt on
+  // first query; live tables maintain theirs incrementally (no-op here).
   SEGDIFF_RETURN_IF_ERROR(table->EnsureZoneMap());
 
   // Aggregate bookkeeping (COUNT(*) handled via `matched`).

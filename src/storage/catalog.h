@@ -8,17 +8,18 @@
 //              | heap meta (first, last, records, pages: u64 x 4)
 //              | u16 nindexes
 //              | per index: str name | u8 ncols | u16 col_idx... | u64 meta
-//              | u32 nsegments                             (version >= 3)
+//              | u32 nsegments
 //              | per segment: u64 first_page | u32 rows | u32 pages
 //                             | u64 encoded_bytes | u32 nan_mask
 //                             | f64 min, f64 max per column
-//   u32 blob_count                                        (version >= 2)
+//   u32 blob_count
 //   per blob:  str name | u32 length | bytes
 // where str = u16 length + bytes. Meta blobs are opaque named payloads
 // for engine state that rides along with the catalog — e.g. the ingest
-// pipeline's resumable segmenter/extractor/pair-window state. Version 3
-// added the per-table columnar segment directory (the persistent form
-// of ColumnStoreMeta); v1/v2 catalogs read as segment-free.
+// pipeline's resumable segmenter/extractor/pair-window state. The
+// segment list is the per-table columnar segment directory (the
+// persistent form of ColumnStoreMeta). Only version 3 is read: versions
+// 1 (no meta blobs) and 2 (no segment directory) are NotSupported.
 
 #ifndef SEGDIFF_STORAGE_CATALOG_H_
 #define SEGDIFF_STORAGE_CATALOG_H_
@@ -63,7 +64,8 @@ struct CatalogData {
 Status WriteCatalog(BufferPool* pool, const CatalogData& catalog);
 
 /// Reads the catalog; an all-zero page 1 yields an empty catalog (fresh
-/// db). Version-1 catalogs (pre meta blobs) read as blob-free.
+/// db). A version 1 or 2 catalog is NotSupported, any other version but
+/// 3 Corruption.
 Result<CatalogData> ReadCatalog(BufferPool* pool);
 
 }  // namespace segdiff

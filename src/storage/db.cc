@@ -38,10 +38,10 @@ Result<std::unique_ptr<Database>> Database::Open(
   }
 
   // WAL is forced off where it cannot work: anonymous stores vanish
-  // with the process, and legacy v1 files cannot be written at all.
-  // replay_wal=false (read-only inspection) skips the log entirely.
-  const bool wal_enabled = options.wal && options.replay_wal &&
-                           path != ":memory:" && !db->pager_->read_only();
+  // with the process. replay_wal=false (read-only inspection) skips the
+  // log entirely.
+  const bool wal_enabled =
+      options.wal && options.replay_wal && path != ":memory:";
   std::vector<WalRecord> recovered;
   if (wal_enabled) {
     WalOptions wal_options;
@@ -240,10 +240,7 @@ Status Database::Close() {
     }
     return Status::OK();
   }
-  Status status = Status::OK();
-  if (!pager_->read_only()) {
-    status = Checkpoint();
-  }
+  Status status = Checkpoint();
   if (wal_ != nullptr) {
     Status wal_status = wal_->Close();
     if (status.ok()) {
@@ -487,8 +484,7 @@ Status Database::CopyInto(const std::string& destination_path,
   options.create_if_missing = true;
   // The fresh store inherits this database's Vfs (fault-injection tests
   // compact through the injected file system too) and is always written
-  // in the current checksummed format — compacting is the upgrade path
-  // for legacy v1 stores. It runs checkpoint-only: the bulk rewrite is
+  // in the current format. It runs checkpoint-only: the bulk rewrite is
   // made durable by the single Checkpoint at the end, and logging every
   // copied row would only double the IO.
   options.vfs = pager_->vfs();
@@ -585,10 +581,7 @@ WalInfo Database::GetWalInfo() const {
 Result<ScrubReport> Database::Scrub() {
   // Flush so the on-disk image matches the logical state being scrubbed
   // (dirty cached pages would otherwise mask or fake on-disk damage).
-  // Legacy stores cannot be written, but they have nothing dirty either.
-  if (!pager_->read_only()) {
-    SEGDIFF_RETURN_IF_ERROR(pool_->FlushAll());
-  }
+  SEGDIFF_RETURN_IF_ERROR(pool_->FlushAll());
   return pager_->Scrub();
 }
 

@@ -62,8 +62,7 @@ struct DatabaseOptions {
 
   /// Write-ahead logging. Off, the store falls back to checkpoint-only
   /// durability (everything since the last Checkpoint is lost on a
-  /// crash). Forced off for ":memory:" stores and read-only legacy v1
-  /// files.
+  /// crash). Forced off for ":memory:" stores.
   bool wal = true;
   /// Group-commit window in milliseconds: 0 fsyncs inside every append,
   /// > 0 batches appends and makes them durable at most this much

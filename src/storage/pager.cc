@@ -14,17 +14,12 @@ namespace {
 
 constexpr uint32_t kFileMagic = 0x4D494442;    // "MIDB"
 constexpr uint32_t kTrailerMagic = 0x50474353;  // "PGCS"
+constexpr uint32_t kFormatVersion = 2;          ///< checksummed pages
 
 /// Computes and stores the trailer of a page about to be written.
 void StampTrailer(char* page) {
   EncodeFixed32(page + kPageCapacity, Crc32c(page, kPageCapacity));
   EncodeFixed32(page + kPageCapacity + 4, kTrailerMagic);
-}
-
-Status ReadOnlyError(const std::string& path) {
-  return Status::NotSupported(
-      "legacy v1 store is read-only (no page checksums): " + path +
-      "; compact it to upgrade to the checksummed v2 format");
 }
 
 }  // namespace
@@ -43,9 +38,8 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   file = WithRetry(std::move(file));
   SEGDIFF_ASSIGN_OR_RETURN(uint64_t size, file->Size());
   if (size == 0) {
-    // Fresh file: write the (checksummed, v2) header page.
-    std::unique_ptr<Pager> pager(new Pager(path, std::move(file), 1,
-                                           kFormatChecksummed, vfs,
+    // Fresh file: write the header page.
+    std::unique_ptr<Pager> pager(new Pager(path, std::move(file), 1, vfs,
                                            /*created=*/!existed));
     Status status = pager->WriteHeader();
     if (!status.ok()) {
@@ -66,28 +60,33 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
     return Status::Corruption("bad magic: " + path);
   }
   const uint32_t version = DecodeFixed32(header + 4);
-  if (version != kFormatLegacy && version != kFormatChecksummed) {
+  if (version == 1) {
+    return Status::NotSupported(
+        path + ": store format v1 (no page checksums) is no longer "
+               "supported; only format v" + std::to_string(kFormatVersion) +
+        " opens");
+  }
+  if (version != kFormatVersion) {
     return Status::Corruption("unsupported version " +
                               std::to_string(version) + ": " + path);
   }
   const uint64_t page_count = DecodeFixed64(header + 8);
-  if (page_count * kPageSize > size) {
+  if (page_count > size / kPageSize) {
     return Status::Corruption("header page count exceeds file: " + path);
   }
-  std::unique_ptr<Pager> pager(
-      new Pager(path, std::move(file), page_count, version, vfs,
-                /*created=*/false));
-  if (version == kFormatChecksummed) {
-    SEGDIFF_RETURN_IF_ERROR(pager->VerifyPageBuffer(0, header));
-  }
-  // Pre-WAL v2 files carry zeros here, which reads back as "nothing
+  // Verified before the Pager exists: its destructor rewrites the header,
+  // which would erase the evidence of a damaged one.
+  SEGDIFF_RETURN_IF_ERROR(VerifyPageBuffer(path, 0, header));
+  std::unique_ptr<Pager> pager(new Pager(path, std::move(file), page_count,
+                                         vfs, /*created=*/false));
+  // Pre-WAL files carry zeros here, which reads back as "nothing
   // applied" — exactly right.
   pager->applied_lsn_.store(DecodeFixed64(header + 16));
   return pager;
 }
 
 Pager::~Pager() {
-  if (file_ != nullptr && !read_only()) {
+  if (file_ != nullptr) {
     // Best-effort header persistence on close.
     WriteHeader();
   }
@@ -98,10 +97,11 @@ void Pager::SetSimulatedReadLatency(uint64_t seq_ns, uint64_t random_ns) {
   sim_random_read_ns_ = random_ns;
 }
 
-Status Pager::VerifyPageBuffer(PageId id, const char* buf) const {
+Status Pager::VerifyPageBuffer(const std::string& path, PageId id,
+                               const char* buf) {
   const uint32_t magic = DecodeFixed32(buf + kPageCapacity + 4);
   if (magic != kTrailerMagic) {
-    return Status::Corruption("page " + std::to_string(id) + " of " + path_ +
+    return Status::Corruption("page " + std::to_string(id) + " of " + path +
                               " has no valid trailer (torn or zeroed page)");
   }
   const uint32_t stored = DecodeFixed32(buf + kPageCapacity);
@@ -111,7 +111,7 @@ Status Pager::VerifyPageBuffer(PageId id, const char* buf) const {
     std::snprintf(detail, sizeof(detail), " (stored 0x%08x, computed 0x%08x)",
                   stored, computed);
     return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(id) + " of " + path_ + detail);
+                              std::to_string(id) + " of " + path + detail);
   }
   return Status::OK();
 }
@@ -141,8 +141,8 @@ Status Pager::ReadPage(PageId id, char* buf) {
   }
   last_read_page_.store(id, std::memory_order_relaxed);
   SEGDIFF_RETURN_IF_ERROR(file_->Read(id * kPageSize, kPageSize, buf));
-  if (format_version_ == kFormatChecksummed && verify_checksums_) {
-    Status status = VerifyPageBuffer(id, buf);
+  if (verify_checksums_) {
+    Status status = VerifyPageBuffer(path_, id, buf);
     if (status.IsCorruption()) {
       // Remember the bad page: scans that opt into partial results route
       // around quarantined ranges instead of failing the whole query.
@@ -182,9 +182,6 @@ Status Pager::ReadPageRaw(PageId id, char* buf) {
 }
 
 Status Pager::WritePage(PageId id, const char* buf) {
-  if (read_only()) {
-    return ReadOnlyError(path_);
-  }
   if (id >= page_count_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("write past end of file: page " +
                                    std::to_string(id));
@@ -203,9 +200,6 @@ Result<PageId> Pager::AllocatePage() { return AllocateExtent(1); }
 Result<PageId> Pager::AllocateExtent(size_t n) {
   if (n == 0) {
     return Status::InvalidArgument("empty extent");
-  }
-  if (read_only()) {
-    return ReadOnlyError(path_);
   }
   std::lock_guard<std::mutex> lock(alloc_mu_);
   const PageId id = page_count_.load(std::memory_order_relaxed);
@@ -232,13 +226,10 @@ Result<PageId> Pager::AllocateExtent(size_t n) {
 }
 
 Status Pager::WriteHeader() {
-  if (read_only()) {
-    return ReadOnlyError(path_);
-  }
   char header[kPageSize];
   std::memset(header, 0, sizeof(header));
   EncodeFixed32(header, kFileMagic);
-  EncodeFixed32(header + 4, format_version_);
+  EncodeFixed32(header + 4, kFormatVersion);
   EncodeFixed64(header + 8, page_count_.load());
   EncodeFixed64(header + 16, applied_lsn_.load());
   StampTrailer(header);
@@ -265,10 +256,8 @@ Result<ScrubReport> Pager::Scrub() {
   for (PageId id = 0; id < count; ++id) {
     ++report.pages_checked;
     Status status = file_->Read(id * kPageSize, kPageSize, buf.data());
-    if (status.ok() && format_version_ == kFormatChecksummed) {
-      status = VerifyPageBuffer(id, buf.data());
-    } else if (status.ok()) {
-      ++report.pages_unverifiable;  // legacy v1: nothing to verify against
+    if (status.ok()) {
+      status = VerifyPageBuffer(path_, id, buf.data());
     }
     if (!status.ok()) {
       report.corrupt.push_back(ScrubIssue{id, status.ToString()});

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
+
 #include "segdiff/naive.h"
 #include "segdiff/segdiff_index.h"
 #include "segdiff/verify.h"
@@ -32,9 +34,9 @@ struct GuaranteeCase {
 class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/segdiff_guarantees_" +
-            std::to_string(GetParam().seed) + "_" +
-            std::to_string(GetParam().eps) + ".db";
+    // Per test, not per parameter: the three tests of one parameter run
+    // as concurrent ctest jobs and must not share a store file.
+    path_ = UniqueTestPath("segdiff_guarantees");
     std::remove(path_.c_str());
     CadGeneratorOptions gen;
     gen.seed = GetParam().seed;
@@ -49,7 +51,7 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
     options.eps = GetParam().eps;
     options.window_s = 4 * 3600.0;
     auto index = SegDiffIndex::Open(path_, options);
-    ASSERT_TRUE(index.ok());
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = std::move(index).value();
     ASSERT_TRUE(index_->IngestSeries(series_).ok());
   }

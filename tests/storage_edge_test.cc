@@ -9,7 +9,9 @@
 #include "test_paths.h"
 
 #include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
+#include "common/vfs.h"
 #include "index/bplus_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -143,6 +145,45 @@ TEST_F(StorageEdgeTest, PagerHeaderSurvivesWithoutExplicitSync) {
   auto reopened = Pager::Open(path_, false);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->page_count(), pages);
+}
+
+TEST_F(StorageEdgeTest, DamagedHeaderFailsOpenWithoutRewritingIt) {
+  pager_.reset();
+  auto file = Vfs::Default()->OpenFile(path_, /*create=*/false);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const char flipped = 0x55;
+  ASSERT_TRUE((*file)->Write(100, &flipped, 1).ok());
+  file->reset();
+  const std::string before = FileBytes(path_);
+
+  auto reopened = Pager::Open(path_, false);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+  // The damaged header is evidence: the failed open must not heal it.
+  EXPECT_EQ(FileBytes(path_), before);
+}
+
+TEST_F(StorageEdgeTest, HugeHeaderPageCountIsCorruption) {
+  pager_.reset();
+  // A header whose trailer verifies but whose page count, times the
+  // page size, wraps 64 bits back below the file size.
+  auto file = Vfs::Default()->OpenFile(path_, /*create=*/false);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  char header[kPageSize];
+  ASSERT_TRUE((*file)->Read(0, kPageSize, header).ok());
+  EncodeFixed64(header + 8, (uint64_t{1} << 52) + 1);
+  EncodeFixed32(header + kPageCapacity, Crc32c(header, kPageCapacity));
+  ASSERT_TRUE((*file)->Write(0, header, kPageSize).ok());
+  file->reset();
+
+  auto reopened = Pager::Open(path_, false);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+  EXPECT_NE(std::string(reopened.status().message()).find("page count"),
+            std::string::npos)
+      << reopened.status().ToString();
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Streaming-ingest contract tests: observation-at-a-time ingest is
 // byte-identical to one-shot batch ingest (any chunking, one final
 // flush), and ingest state survives close/reopen so appending resumes
-// exactly where it left off — including on legacy stores that predate
-// state persistence.
+// exactly where it left off. Stores written before ingest state was
+// persisted are refused and left untouched.
 
 #include <cstdio>
 #include <random>
@@ -48,14 +48,35 @@ std::vector<std::string> TableRecords(Database* db, const std::string& name) {
   return records;
 }
 
+/// Strips the ingest-state blob `key` through a raw database handle,
+/// leaving tables and catalog only: the layout of a store written before
+/// ingest state was persisted.
+void EraseIngestState(const std::string& path, const std::string& key) {
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  auto raw = Database::Open(path, options);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_TRUE((*raw)->EraseMeta(key).value_or(false));
+  ASSERT_TRUE((*raw)->Checkpoint().ok());
+}
+
+/// Asserts that `refused` is the NotSupported refusal of a store without
+/// its ingest-state blob `key`, naming the file.
+void ExpectNoIngestStateRefusal(const Status& refused, const std::string& path,
+                                const std::string& key) {
+  ASSERT_TRUE(refused.IsNotSupported()) << refused.ToString();
+  const std::string message(refused.message());
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  EXPECT_NE(message.find("no '" + key + "' ingest-state blob"),
+            std::string::npos)
+      << message;
+}
+
 const char* const kSegDiffTables[] = {"segments", "drop1", "drop2", "drop3",
                                       "jump1",    "jump2", "jump3"};
 
 /// Every SegDiff table of `actual` byte-identical to `expected`.
-/// `check_counters` is off for legacy-store resume, whose lifetime
-/// observation counter legitimately restarts at zero.
-void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected,
-                      bool check_counters = true) {
+void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected) {
   for (const char* name : kSegDiffTables) {
     const std::vector<std::string> a = TableRecords(actual->db(), name);
     const std::vector<std::string> e = TableRecords(expected->db(), name);
@@ -64,9 +85,7 @@ void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected,
       ASSERT_EQ(a[i], e[i]) << "record " << i << " differs in " << name;
     }
   }
-  if (check_counters) {
-    EXPECT_EQ(actual->num_observations(), expected->num_observations());
-  }
+  EXPECT_EQ(actual->num_observations(), expected->num_observations());
   EXPECT_EQ(actual->num_segments(), expected->num_segments());
   const SegDiffSizes sa = actual->GetSizes();
   const SegDiffSizes se = expected->GetSizes();
@@ -269,58 +288,25 @@ TEST_F(StreamingIngestTest, ReopenAdoptsPersistedBuildParameters) {
       stream->SearchDrops(3600.0, -3.0, search).status().IsInvalidArgument());
 }
 
-TEST_F(StreamingIngestTest, LegacyStoreResumesFromSegmentDirectory) {
-  SegDiffOptions options;
-  const size_t half = series_.size() / 2;
+TEST_F(StreamingIngestTest, StoreWithoutIngestStateIsRefused) {
   {
-    auto stream = OpenStore(stream_path_, options);
+    auto stream = OpenStore(stream_path_, SegDiffOptions{});
     Series first;
-    for (size_t i = 0; i < half; ++i) {
+    for (size_t i = 0; i < series_.size() / 2; ++i) {
       ASSERT_TRUE(first.Append(series_[i]).ok());
     }
     ASSERT_TRUE(stream->IngestSeries(first).ok());
-    // The store handle persists its state on destruction, so strip the
-    // blob afterwards through a raw database handle — simulating a store
-    // written before ingest-state persistence existed (tables + catalog
-    // only).
+    // The store handle persists its state on destruction, so the blob is
+    // stripped afterwards.
   }
-  {
-    DatabaseOptions raw_options;
-    raw_options.create_if_missing = false;
-    auto raw = Database::Open(stream_path_, raw_options);
-    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-    EXPECT_TRUE((*raw)->EraseMeta("segdiff.ingest").value_or(false));
-    ASSERT_TRUE((*raw)->Checkpoint().ok());
-  }
+  EraseIngestState(stream_path_, "segdiff.ingest");
+  const std::string before = FileBytes(stream_path_);
   SegDiffOptions reopen;
   reopen.create_if_missing = false;
-  auto stream = OpenStore(stream_path_, reopen);
-  // Lifetime observation counters are unknowable for legacy stores...
-  EXPECT_EQ(stream->num_observations(), 0u);
-  // ...but the pair window and segment anchor are reconstructed, so
-  // appending the rest produces the exact batch feature tables. (The
-  // first-half IngestSeries already flushed at `half`, matching the
-  // flush the batch oracle only performs at the end — so give the oracle
-  // the same mid-point flush for a fair byte-level comparison.)
-  const std::string oracle_path = UniqueTestPath("streaming", "_oracle.db");
-  std::remove(oracle_path.c_str());
-  auto oracle = OpenStore(oracle_path, options);
-  Series first, second;
-  for (size_t i = 0; i < series_.size(); ++i) {
-    ASSERT_TRUE((i < half ? first : second).Append(series_[i]).ok());
-  }
-  Status st = oracle->IngestSeries(first);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  st = oracle->IngestSeries(second);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  st = stream->IngestSeries(second);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  std::remove(oracle_path.c_str());
-  ExpectSameTables(stream.get(), oracle.get(), /*check_counters=*/false);
-  // Searches compare against the equally-chunked oracle, not the batch
-  // store: the extra flush at `half` is a real (legitimate) segment
-  // boundary, so one-shot segmentation can differ slightly.
-  ExpectSameSearches(stream.get(), oracle.get());
+  auto refused = SegDiffIndex::Open(stream_path_, reopen);
+  ExpectNoIngestStateRefusal(refused.status(), stream_path_,
+                             "segdiff.ingest");
+  EXPECT_EQ(FileBytes(stream_path_), before);
 }
 
 TEST_F(StreamingIngestTest, StaleTimestampRejected) {
@@ -388,36 +374,6 @@ TEST_F(StreamingIngestTest, CorruptIngestStateFailsOpenCleanly) {
   auto blob = (*raw)->GetMeta("segdiff.ingest");
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   EXPECT_EQ(*blob, garbage);
-}
-
-TEST_F(StreamingIngestTest, OutOfOrderSegmentDirectoryRejected) {
-  SegDiffOptions options;
-  {
-    auto stream = OpenStore(stream_path_, options);
-    Series first;
-    for (size_t i = 0; i < series_.size() / 2; ++i) {
-      ASSERT_TRUE(first.Append(series_[i]).ok());
-    }
-    ASSERT_TRUE(stream->IngestSeries(first).ok());
-  }
-  {
-    // Simulate a corrupted legacy store: no ingest blob, and a segment
-    // appended out of temporal order at the end of the directory.
-    DatabaseOptions raw_options;
-    raw_options.create_if_missing = false;
-    auto raw = Database::Open(stream_path_, raw_options);
-    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-    EXPECT_TRUE((*raw)->EraseMeta("segdiff.ingest").value_or(false));
-    auto segments = (*raw)->GetTable("segments");
-    ASSERT_TRUE(segments.ok());
-    ASSERT_TRUE((*segments)->InsertDoubles({1.0, 0.0, 2.0, 0.0}).ok());
-    ASSERT_TRUE((*raw)->Checkpoint().ok());
-  }
-  SegDiffOptions reopen;
-  reopen.create_if_missing = false;
-  auto failed = SegDiffIndex::Open(stream_path_, reopen);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
 }
 
 // ---------------------------------------------------------------------
@@ -525,6 +481,22 @@ TEST_F(ExhStreamingTest, CorruptIngestStateFailsOpenCleanly) {
   auto blob = (*raw)->GetMeta("exh.ingest");
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   EXPECT_EQ(*blob, garbage);
+}
+
+TEST_F(ExhStreamingTest, StoreWithoutIngestStateIsRefused) {
+  ExhOptions options;
+  options.window_s = 3600.0;
+  {
+    auto stream = OpenStore(stream_path_, options);
+    for (size_t i = 0; i < series_.size() / 2; ++i) {
+      ASSERT_TRUE(stream->AppendObservation(series_[i].t, series_[i].v).ok());
+    }
+  }
+  EraseIngestState(stream_path_, "exh.ingest");
+  const std::string before = FileBytes(stream_path_);
+  auto refused = ExhIndex::Open(stream_path_, options);
+  ExpectNoIngestStateRefusal(refused.status(), stream_path_, "exh.ingest");
+  EXPECT_EQ(FileBytes(stream_path_), before);
 }
 
 }  // namespace

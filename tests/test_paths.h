@@ -1,4 +1,4 @@
-// Unique temp paths for test databases.
+// Unique temp paths for test databases, and whole-file reads.
 //
 // gtest_discover_tests runs every TEST as its own ctest job, so under
 // `ctest -j` two tests of the same fixture execute concurrently in
@@ -9,6 +9,8 @@
 #ifndef SEGDIFF_TESTS_TEST_PATHS_H_
 #define SEGDIFF_TESTS_TEST_PATHS_H_
 
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,14 @@ inline std::string UniqueTestPath(const std::string& stem,
     }
   }
   return testing::TempDir() + "/" + stem + "_" + name + suffix;
+}
+
+/// Every byte of the file at `path` ("" when it is missing). Tests
+/// compare it before and after an operation that must not write.
+inline std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace segdiff

@@ -11,7 +11,9 @@
 //      — and every previously acknowledged observation searchable with
 //      the exact pre-fault answers.
 //
-//   2. Bitrot: flip bytes in a random sensor store. The stats search
+//   2. Bitrot: flip bytes in a random sensor store (in cycle 0, one of
+//      them in its segment directory, which every search reads, so the
+//      ledger case runs for any seed and cycle count). The stats search
 //      must stay OK and degrade honestly (partial, with the per-sensor
 //      failure ledger populated when the store refuses to open or
 //      answer), the stats-less search must fail loudly, and RepairAll
@@ -41,6 +43,7 @@
 #include "common/vfs.h"
 #include "segdiff/transect_index.h"
 #include "storage/fault_vfs.h"
+#include "storage/db.h"
 #include "storage/pager.h"
 #include "ts/generator.h"
 
@@ -62,6 +65,29 @@ void FlipByte(const std::string& path, uint64_t offset) {
   b ^= 0x40;
   ASSERT_TRUE((*file)->Write(offset, &b, 1).ok());
   ASSERT_TRUE((*file)->Sync().ok());
+}
+
+/// The first heap page of the store's segment directory, found through
+/// its catalog (kInvalidPageId when there is none). Every search that
+/// finds a pair reads it to resolve t_a, and a stats-carrying search
+/// cannot route around it the way it routes around a quarantined
+/// feature page, so damage there always lands in the failure ledger.
+/// The store is opened without WAL replay and abandoned: nothing is
+/// written.
+PageId SegmentDirectoryPage(const std::string& path) {
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  options.replay_wal = false;
+  auto db = Database::Open(path, options);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return kInvalidPageId;
+  (*db)->Abandon();
+  auto table = (*db)->GetTable("segments");
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  if (!table.ok() || (*table)->heap_meta().page_count == 0) {
+    return kInvalidPageId;
+  }
+  return (*table)->heap_meta().first_page;
 }
 
 class TransectChaosTest : public ::testing::Test {
@@ -283,14 +309,25 @@ TEST_F(TransectChaosTest, BitrotIsIsolatedAndRepaired) {
     // chaos_test covers the headers-gone refusal; here the store must
     // keep a readable skeleton so repair has something to salvage).
     {
-      auto file = Vfs::Default()->OpenFile(victim_path, /*create=*/false);
-      ASSERT_TRUE(file.ok()) << file.status().ToString();
-      auto size = (*file)->Size();
-      ASSERT_TRUE(size.ok());
-      const uint64_t pages = *size / kPageSize;
+      uint64_t pages = 0;
+      {
+        auto file = Vfs::Default()->OpenFile(victim_path, /*create=*/false);
+        ASSERT_TRUE(file.ok()) << file.status().ToString();
+        auto size = (*file)->Size();
+        ASSERT_TRUE(size.ok());
+        pages = *size / kPageSize;
+      }
       ASSERT_GT(pages, 2u);
-      const uint64_t first = 1 + rng() % (pages - 1);
+      uint64_t first = 1 + rng() % (pages - 1);
       uint64_t second = 1 + rng() % (pages - 1);
+      if (cycle == 0) {
+        // Random pages may all be ones the search routes around or never
+        // reads. Cycle 0 damages one every search must read, so the sweep
+        // reaches the failure ledger whatever the seed; the draws above
+        // still happen, keeping later cycles' schedules unchanged.
+        first = SegmentDirectoryPage(victim_path);
+        ASSERT_NE(first, kInvalidPageId);
+      }
       if (second == first) second = 1 + (first % (pages - 1));
       FlipByte(victim_path, first * kPageSize + 64 + rng() % 1024);
       FlipByte(victim_path, second * kPageSize + 64 + rng() % 1024);

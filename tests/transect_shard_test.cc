@@ -3,7 +3,9 @@
 // deterministic SearchStats), the StoreLru must bound how many stores
 // are open at once — including under concurrent searches on a tiny
 // cache (TSan exercises the pin/evict races) — a corrupt shard catalog
-// must fail loudly, one shared deadline must stop the whole fan-out
+// must fail loudly (ranges other than the placement, directory names
+// that escape the root), a pre-sharding flat layout must be refused and
+// left untouched, one shared deadline must stop the whole fan-out
 // promptly, and directory creation must flow through the Vfs so fault
 // injection covers it.
 
@@ -15,12 +17,15 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_paths.h"
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/stopwatch.h"
 #include "segdiff/transect_index.h"
 #include "storage/fault_vfs.h"
@@ -30,6 +35,35 @@ namespace segdiff {
 namespace {
 
 constexpr int kSensors = 12;
+
+/// A CRC-valid manifest laid out as ShardCatalog::Encode writes it, for
+/// any header and shard list (including ones Place never produces).
+std::string FrameManifest(uint32_t sensor_count, uint32_t sensors_per_shard,
+                          const std::vector<ShardInfo>& shards) {
+  std::string raw = "SDSHRD01";
+  char word[4];
+  for (uint32_t v : {sensor_count, sensors_per_shard,
+                     static_cast<uint32_t>(shards.size())}) {
+    EncodeFixed32(word, v);
+    raw.append(word, 4);
+  }
+  for (const ShardInfo& info : shards) {
+    char entry[10];
+    EncodeFixed32(entry, static_cast<uint32_t>(info.first_sensor));
+    EncodeFixed32(entry + 4, static_cast<uint32_t>(info.sensor_count));
+    EncodeFixed16(entry + 8, static_cast<uint16_t>(info.dir.size()));
+    raw.append(entry, sizeof(entry));
+    raw.append(info.dir);
+  }
+  EncodeFixed32(word, Crc32c(raw.data(), raw.size()));
+  raw.append(word, 4);
+  return raw;
+}
+
+Status DecodeManifest(const std::string& raw) {
+  return ShardCatalog::Decode(raw.data(), raw.size(), "test manifest")
+      .status();
+}
 
 /// Deterministic fields only: seconds and admission_wait_ms are
 /// wall-clock and legitimately vary run to run.
@@ -294,27 +328,100 @@ TEST_F(TransectShardTest, ReopenValidatesSensorCountAgainstCatalog) {
   EXPECT_EQ((*adopted)->sensor_count(), kSensors);
 }
 
-TEST_F(TransectShardTest, LegacyFlatLayoutIsAdoptedInPlace) {
+TEST_F(TransectShardTest, FlatLayoutIsRefused) {
   // A pre-sharding transect: sensor<k>.db directly under the root, no
   // catalog.
   TransectOptions options = SmallStores();
   ASSERT_TRUE(Vfs::Default()->MakeDir(dir_).ok());
+  std::vector<std::string> before;
   for (int s = 0; s < kSensors; ++s) {
-    auto store = SegDiffIndex::Open(
-        dir_ + "/sensor" + std::to_string(s) + ".db", options.store);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE(
-        (*store)->IngestSeries(all_series_[static_cast<size_t>(s)]).ok());
+    const std::string path = dir_ + "/sensor" + std::to_string(s) + ".db";
+    {
+      auto store = SegDiffIndex::Open(path, options.store);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_TRUE(
+          (*store)->IngestSeries(all_series_[static_cast<size_t>(s)]).ok());
+    }
+    before.push_back(FileBytes(path));
   }
 
-  auto transect = TransectIndex::Open(dir_, kSensors, options);
-  ASSERT_TRUE(transect.ok()) << transect.status().ToString();
-  for (size_t i = 0; i < (*transect)->catalog().shard_count(); ++i) {
-    EXPECT_EQ((*transect)->catalog().shard(i).dir, "");  // adopted flat
+  auto refused = TransectIndex::Open(dir_, kSensors, options);
+  ASSERT_TRUE(refused.status().IsNotSupported())
+      << refused.status().ToString();
+  const std::string message(refused.status().message());
+  EXPECT_NE(message.find("sensor0.db but no CATALOG"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("flat layout"), std::string::npos) << message;
+  EXPECT_FALSE(Vfs::Default()->FileExists(
+      dir_ + "/" + ShardCatalog::kManifestName));
+  for (int s = 0; s < kSensors; ++s) {
+    EXPECT_EQ(FileBytes(dir_ + "/sensor" + std::to_string(s) + ".db"),
+              before[static_cast<size_t>(s)])
+        << "sensor " << s;
   }
-  auto hits = (*transect)->SearchDrops(3600.0, -3.0);
-  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-  EXPECT_FALSE(hits->empty());  // found the pre-existing data
+}
+
+TEST_F(TransectShardTest, ManifestRangesMustBeThePlacement) {
+  // The framing matches Encode, so a placed catalog round-trips.
+  const std::vector<ShardInfo> placed = {{0, 2, "shard00000"},
+                                         {2, 2, "shard00001"},
+                                         {4, 1, "shard00002"}};
+  EXPECT_EQ(FrameManifest(5, 2, placed), ShardCatalog::Place(5, 2).Encode());
+  EXPECT_TRUE(DecodeManifest(FrameManifest(5, 2, placed)).ok());
+
+  // Each partitions [0, sensor_count) but contradicts sensors_per_shard,
+  // so ShardOf would index past the shard list or the wrong shard.
+  const std::vector<std::pair<uint32_t, std::vector<ShardInfo>>> bad = {
+      {1, {{0, 4, "shard0"}}},
+      {2, {{0, 3, "shard0"}, {3, 1, "shard1"}}},
+      {2, {{0, 1, "shard0"}, {1, 2, "shard1"}, {3, 1, "shard2"}}},
+      {2, {{0, 2, "shard0"}}},
+      {2, {{0, 2, "shard0"}, {2, 2, "shard1"}, {4, 1, "shard2"}}},
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    Status status = DecodeManifest(FrameManifest(4, bad[i].first,
+                                                 bad[i].second));
+    EXPECT_TRUE(status.IsCorruption()) << "case " << i << ": "
+                                       << status.ToString();
+  }
+}
+
+TEST_F(TransectShardTest, ManifestEmptyShardDirIsNotSupported) {
+  // The manifest a pre-sharding flat layout was adopted with.
+  const std::string raw =
+      FrameManifest(4, 2, {{0, 2, ""}, {2, 2, ""}});
+  Status status = DecodeManifest(raw);
+  ASSERT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_NE(std::string(status.message()).find("empty directory"),
+            std::string::npos)
+      << status.ToString();
+
+  // Through Open: refused, naming the manifest, which stays as it was.
+  ASSERT_TRUE(Vfs::Default()->MakeDir(dir_).ok());
+  const std::string manifest = dir_ + "/" + ShardCatalog::kManifestName;
+  {
+    std::FILE* f = std::fopen(manifest.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
+    std::fclose(f);
+  }
+  auto refused = TransectIndex::Open(dir_, 0, SmallStores());
+  ASSERT_TRUE(refused.status().IsNotSupported())
+      << refused.status().ToString();
+  EXPECT_NE(std::string(refused.status().message()).find(manifest),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(FileBytes(manifest), raw);
+}
+
+TEST_F(TransectShardTest, ManifestShardDirMustBeAPlainName) {
+  // GcLayout deletes everything under root + "/" + dir.
+  for (const std::string dir : {".", "..", "a/b", "../elsewhere", "/"}) {
+    Status status =
+        DecodeManifest(FrameManifest(4, 2, {{0, 2, "shard0"}, {2, 2, dir}}));
+    EXPECT_TRUE(status.IsCorruption()) << "'" << dir
+                                       << "': " << status.ToString();
+  }
 }
 
 TEST_F(TransectShardTest, SharedDeadlineStopsTheWholeFanOutPromptly) {

@@ -1,6 +1,7 @@
 // Zone-map unit tests: incremental maintenance (NaN semantics included),
 // serialization, pruning decisions (ZoneCanMatch), and persistence
-// through checkpoint/reopen/compaction — plus the legacy-store rebuild.
+// through checkpoint/reopen/compaction — plus the rebuild of a map
+// dropped at open.
 
 #include <cmath>
 #include <cstdio>
@@ -285,9 +286,10 @@ TEST_F(ZoneMapStoreTest, LegacyStoreRebuildsOnDemand) {
   const std::string incremental = table->zone_map()->Serialize();
   const std::set<double> expect = Query(table);
 
-  // A store written before zone maps existed opens with none: scans
-  // still answer correctly (pruning off), and EnsureZoneMap rebuilds a
-  // map identical to the incrementally-maintained one.
+  // A table whose map was dropped at open (blob absent, unparsable or
+  // inconsistent with its heap after a crash) has none: scans still
+  // answer correctly (pruning off), and EnsureZoneMap rebuilds a map
+  // identical to the incrementally-maintained one.
   table->DetachZoneMap();
   ASSERT_EQ(table->zone_map(), nullptr);
   EXPECT_EQ(Query(table), expect);

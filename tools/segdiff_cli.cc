@@ -1048,10 +1048,7 @@ int CmdVerify(const Flags& flags) {
   // the header of a store we just diagnosed as damaged (WAL replay at
   // open touched only in-memory state; Abandon discards it).
   (*database)->Abandon();
-  const Pager* pager = (*database)->pager();
-  std::printf("store: %s (format v%u%s)\n", db.c_str(),
-              pager->format_version(),
-              pager->read_only() ? ", legacy read-only" : "");
+  std::printf("store: %s\n", db.c_str());
 
   // Logical check: each table's heap metadata agrees with what a full
   // scan actually returns (a torn append would break this).
@@ -1092,20 +1089,14 @@ int CmdVerify(const Flags& flags) {
       Fail(report.status());
       return VerifyExitCode(report.status());
     }
-    std::printf("scrub: %llu pages checked, %llu unverifiable (legacy), "
-                "%zu corrupt\n",
+    std::printf("scrub: %llu pages checked, %zu corrupt\n",
                 static_cast<unsigned long long>(report->pages_checked),
-                static_cast<unsigned long long>(report->pages_unverifiable),
                 report->corrupt.size());
     for (const ScrubIssue& issue : report->corrupt) {
       std::printf("  page %llu: %s\n",
                   static_cast<unsigned long long>(issue.page),
                   issue.message.c_str());
       ++failures;
-    }
-    if (report->pages_unverifiable > 0) {
-      std::printf("  note: legacy v1 pages have no checksums; compact the "
-                  "store to upgrade\n");
     }
     // The write-ahead log is part of the store: walk every frame. A torn
     // tail is healthy (an interrupted group commit; recovery trims it),
