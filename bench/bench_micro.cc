@@ -173,9 +173,8 @@ void BM_PredicateMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateMatch);
 
-/// Batched page evaluation: the selection-bitmap kernel over one full
-/// page of drop2-shaped records. Arg 0 = portable scalar kernel, arg 1 =
-/// the runtime-dispatched SIMD kernel (SSE2/AVX2 when available).
+/// Batched page evaluation: ScanKernel (column gather + compare) over one
+/// full page of drop2-shaped records.
 void BM_ScanKernelBatch(benchmark::State& state) {
   Predicate predicate;
   predicate.And(0, CmpOp::kLe, 3600.0).And(1, CmpOp::kLe, -3.0);
@@ -192,20 +191,17 @@ void BM_ScanKernelBatch(benchmark::State& state) {
       EncodeDouble(rec + 8 * c, rng.Uniform(0, 8 * 3600));
     }
   }
-  const ScanKernelFn kernel =
-      state.range(0) == 0 ? ScalarScanKernel() : ActiveScanKernel();
-  state.SetLabel(state.range(0) == 0 ? "scalar" : ActiveScanKernelName());
   uint64_t bitmap[kBatchBitmapWords];
   for (auto _ : state) {
-    kernel(records.data(), kRecordBytes, kRows,
-           predicate.conditions().data(), predicate.conditions().size(),
-           bitmap);
+    ScanKernel(records.data(), kRecordBytes, kRows,
+               predicate.conditions().data(), predicate.conditions().size(),
+               bitmap);
     benchmark::DoNotOptimize(bitmap[0]);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kRows));
 }
-BENCHMARK(BM_ScanKernelBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScanKernelBatch);
 
 /// One full single-column segment encoded with EncodeColumnSegment,
 /// decoded through ColumnCursor in 1024-value batches — the exact shape
@@ -236,6 +232,9 @@ EncodedColumn EncodeOneColumn(const std::vector<double>& values,
   std::memcpy(&out.dir.base, e + 8, 8);
   std::memcpy(&out.dir.min, e + 16, 8);
   std::memcpy(&out.dir.max, e + 24, 8);
+  // The payload ends the blob; cursors load whole words, so append the
+  // 8 bytes of slack ColumnSegmentHandle gives every payload.
+  out.blob.append(8, '\0');
   out.payload = out.blob.data() + 16 + 32;
   SEGDIFF_CHECK(out.dir.encoding == expect)
       << "workload no longer selects " << ColumnEncodingName(expect)

@@ -5,7 +5,6 @@
 // is CPU-bound predicate evaluation, not IO):
 //   exh/seq       one giant range query, scan partitioned by heap page
 //   segdiff/seq   the paper's 9 point/line queries run concurrently
-//   segdiff/fused per-table fused passes, each partitioned by heap page
 //   segdiff/index 9 B+-tree range scans run concurrently
 //
 // Results additionally land in BENCH_parallel.json (threads ->
@@ -110,9 +109,6 @@ int RunBench(bool quick) {
     seq.mode = QueryMode::kSeqScan;
     shapes.push_back({"exh", "seq", seq});
     shapes.push_back({"segdiff", "seq", seq});
-    SearchOptions fused = seq;
-    fused.fused_scan = true;
-    shapes.push_back({"segdiff", "fused", fused});
     SearchOptions idx;
     idx.mode = QueryMode::kIndexScan;
     shapes.push_back({"segdiff", "index", idx});
@@ -164,7 +160,7 @@ int RunBench(bool quick) {
     }
   }
   table.Print(std::cout);
-  std::cout << "expected shape: seq/fused scale with threads until "
+  std::cout << "expected shape: seq scans scale with threads until "
                "memory bandwidth saturates (>= 2x at 4 threads); the 9 "
                "index scans are bounded by the largest single query.\n";
 

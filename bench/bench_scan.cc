@@ -16,8 +16,7 @@
 // row-at-a-time baseline — the acceptance target is >= 2x end to end.
 //
 //   bench_scan [--quick]    (--quick: small store + 1 rep, smoke only)
-// Env: SEGDIFF_BENCH_SCAN_ROWS, SEGDIFF_BENCH_QUERY_REPS,
-//      SEGDIFF_SCAN_KERNEL=scalar|sse2|avx2.
+// Env: SEGDIFF_BENCH_SCAN_ROWS, SEGDIFF_BENCH_QUERY_REPS.
 
 #include <chrono>
 #include <cmath>
@@ -31,7 +30,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "query/executor.h"
-#include "query/scan_kernel.h"
 #include "storage/db.h"
 
 namespace segdiff {
@@ -121,8 +119,7 @@ int RunBench(bool quick) {
       static_cast<double>(expected_matches) / static_cast<double>(rows);
   std::cout << "workload: " << rows << " rows over " << pages
             << " heap pages, " << expected_matches << " matches ("
-            << Fmt(selectivity * 100.0, 3) << "% selectivity), kernel="
-            << ActiveScanKernelName() << "\n";
+            << Fmt(selectivity * 100.0, 3) << "% selectivity)\n";
 
   struct Mode {
     const char* name;
@@ -286,7 +283,6 @@ int RunBench(bool quick) {
   root.Set("pages", static_cast<int64_t>(pages));
   root.Set("selectivity", selectivity);
   root.Set("reps", static_cast<int64_t>(reps));
-  root.Set("kernel", ActiveScanKernelName());
   root.Set("kernel_speedup", kernel_speedup);
   root.Set("pruning_speedup", pruning_speedup);
   root.Set("total_speedup", total_speedup);

@@ -40,8 +40,6 @@ class PageEvaluator {
         batch_(options.batch),
         skip_quarantined_(options.skip_quarantined),
         prune_(options.prune && !predicate.conditions().empty()),
-        kernel_(ActiveScanKernel()),
-        column_compare_(ActiveColumnCompare()),
         zone_map_(options.prune && !predicate.conditions().empty()
                       ? ResolveZoneMap(table, options)
                       : nullptr),
@@ -200,8 +198,8 @@ class PageEvaluator {
                       size_t count, bool need_rows) {
     InitSelectionBitmap(count, bitmap_);
     for (const ColumnCondition& cond : predicate_.conditions()) {
-      column_compare_(decoder.column(cond.column), count, cond.op, cond.value,
-                      bitmap_);
+      AndCompare(decoder.column(cond.column), count, cond.op, cond.value,
+                 bitmap_);
     }
     if (!need_rows) {
       for (size_t w = 0; w * 64 < count; ++w) {
@@ -266,8 +264,8 @@ class PageEvaluator {
 
   Status EvaluateBatch(PageId page, const char* records, uint16_t count) {
     const std::vector<ColumnCondition>& conditions = predicate_.conditions();
-    kernel_(records, record_bytes_, count, conditions.data(),
-            conditions.size(), bitmap_);
+    ScanKernel(records, record_bytes_, count, conditions.data(),
+               conditions.size(), bitmap_);
     stats_.rows_scanned += count;
     const auto& residual = predicate_.residual();
     for (size_t w = 0; w * 64 < count; ++w) {
@@ -307,8 +305,6 @@ class PageEvaluator {
   const bool skip_quarantined_;
   CorruptPageSkipper skipper_;  ///< lazily armed by heap_skipper()
   const bool prune_;
-  const ScanKernelFn kernel_;
-  const ColumnCompareFn column_compare_;
   const ZoneMap* zone_map_;
   const QueryContext* ctx_;
   uint64_t emits_since_check_ = 0;
@@ -430,7 +426,7 @@ Status ParallelSeqScan(const Table& table, const Predicate& predicate,
     sinks[p] = make_sink(p);
   }
   std::vector<ScanStats> partition_stats(num_partitions);
-  SEGDIFF_RETURN_IF_ERROR(pool->ParallelFor(
+  const Status scan_status = pool->ParallelFor(
       num_partitions, options.context, [&](size_t p) -> Status {
         const ScanPartition& part = partitions[p];
         PageEvaluator evaluator(table, predicate, options, sinks[p]);
@@ -450,14 +446,16 @@ Status ParallelSeqScan(const Table& table, const Predicate& predicate,
         }
         partition_stats[p] = evaluator.stats();
         return status;
-      }));
+      });
+  // Merged also on failure, as the serial scan does: a budget-truncated
+  // scan still reports what every partition examined and matched.
   if (stats != nullptr) {
     stats->Add(collect_stats);
     for (const ScanStats& local : partition_stats) {
       stats->Add(local);
     }
   }
-  return Status::OK();
+  return scan_status;
 }
 
 Status IndexScan(const Table& table, const IndexScanSpec& spec,

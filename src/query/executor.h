@@ -60,7 +60,7 @@ using RowCallback = std::function<Status(const char* record, RecordId id)>;
 /// flags exist so benchmarks and differential tests can ablate each
 /// layer against the row-at-a-time baseline.
 struct SeqScanOptions {
-  /// Evaluate pages with the batched selection-bitmap kernel instead of
+  /// Evaluate pages with the batched selection-bitmap compare instead of
   /// per-row Predicate::Matches.
   bool batch = true;
   /// Skip pages whose zone-map ranges cannot satisfy the predicate's
@@ -90,8 +90,8 @@ struct SeqScanOptions {
 };
 
 /// Full-table scan applying `predicate` to every record: the table's
-/// compressed columnar segments first (vectorized decode feeding the
-/// selection-bitmap kernels), then the row-format heap tail — insertion
+/// compressed columnar segments first (batch decode feeding the
+/// selection-bitmap compare), then the row-format heap tail — insertion
 /// order overall.
 Status SeqScan(const Table& table, const Predicate& predicate,
                const RowCallback& callback, ScanStats* stats = nullptr,
@@ -110,7 +110,8 @@ using PartitionSinkFactory = std::function<RowCallback(size_t partition)>;
 /// concurrently on `pool` (the calling thread participates). Rows are
 /// visited exactly once overall; per-partition ScanStats are merged
 /// into `stats` in partition order, so totals equal the serial
-/// SeqScan's. Early-stop (`keep_going`) inside a callback only stops
+/// SeqScan's — also on failure, when `stats` holds what every partition
+/// examined before the error. Early-stop (`keep_going`) inside a callback only stops
 /// that partition.
 Status ParallelSeqScan(const Table& table, const Predicate& predicate,
                        ThreadPool* pool, size_t num_partitions,

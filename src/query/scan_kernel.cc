@@ -2,32 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-
-#include "common/env.h"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>
-#endif
+#include <functional>
 
 namespace segdiff {
 namespace {
 
-// Sets the low `count` bits; bits at and above `count` stay zero so the
-// caller can walk whole words.
-void InitBitmap(size_t count, uint64_t* bitmap) {
-  const size_t words = (count + 63) / 64;
-  for (size_t w = 0; w < words; ++w) {
-    bitmap[w] = ~uint64_t{0};
-  }
-  if (count % 64 != 0) {
-    bitmap[words - 1] = ~uint64_t{0} >> (64 - count % 64);
-  }
-}
-
 // Strided gather of one column into a contiguous buffer: the only part
-// of the kernel that touches the record layout; the compare loops below
-// then run over plain doubles.
+// of the heap-page path that touches the record layout; AndCompare then
+// runs over plain doubles.
 void GatherColumn(const char* records, size_t record_bytes, size_t count,
                   size_t column, double* vals) {
   const char* cell = records + 8 * column;
@@ -37,230 +19,38 @@ void GatherColumn(const char* records, size_t record_bytes, size_t count,
   }
 }
 
-template <CmpOp Op>
-bool CmpScalar(double v, double bound) {
-  if constexpr (Op == CmpOp::kLt) {
-    return v < bound;
-  } else if constexpr (Op == CmpOp::kLe) {
-    return v <= bound;
-  } else if constexpr (Op == CmpOp::kGt) {
-    return v > bound;
-  } else if constexpr (Op == CmpOp::kGe) {
-    return v >= bound;
-  } else {
-    return v == bound;
-  }
-}
-
-template <CmpOp Op>
-void AndCompareScalar(const double* vals, size_t count, double bound,
-                      uint64_t* bitmap) {
-  for (size_t w = 0; w * 64 < count; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, count - base);
-    uint64_t m = 0;
-    for (size_t b = 0; b < limit; ++b) {
-      m |= static_cast<uint64_t>(CmpScalar<Op>(vals[base + b], bound)) << b;
+// Packs 64 0/1 bytes into one word (bit i = byte i). Per group of 8
+// bytes, the multiply moves byte j's low bit to bit 56 + j; no two
+// partial products meet in that top byte, so it is exact.
+uint64_t PackBits(const uint8_t* hit) {
+  uint64_t word = 0;
+  for (size_t g = 0; g < 8; ++g) {
+    uint64_t bytes = 0;
+    for (size_t j = 0; j < 8; ++j) {
+      bytes |= static_cast<uint64_t>(hit[8 * g + j]) << (8 * j);
     }
-    bitmap[w] &= m;
+    word |= ((bytes * 0x0102040810204080ull) >> 56) << (8 * g);
   }
+  return word;
 }
 
-void KernelScalar(const char* records, size_t record_bytes, size_t count,
-                  const ColumnCondition* conditions, size_t num_conditions,
-                  uint64_t* bitmap) {
-  InitBitmap(count, bitmap);
-  if (count == 0 || num_conditions == 0) {
-    return;
-  }
-  double vals[kMaxBatchRows];
-  for (size_t c = 0; c < num_conditions; ++c) {
-    const ColumnCondition& cond = conditions[c];
-    GatherColumn(records, record_bytes, count, cond.column, vals);
-    switch (cond.op) {
-      case CmpOp::kLt:
-        AndCompareScalar<CmpOp::kLt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kLe:
-        AndCompareScalar<CmpOp::kLe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGt:
-        AndCompareScalar<CmpOp::kGt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGe:
-        AndCompareScalar<CmpOp::kGe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kEq:
-        AndCompareScalar<CmpOp::kEq>(vals, count, cond.value, bitmap);
-        break;
-    }
-  }
-}
-
-#if defined(__x86_64__) || defined(_M_X64)
-
-// SSE2 is the x86-64 baseline: two doubles per compare, all ordered
-// (NaN compares false, matching EvalCondition).
-template <CmpOp Op>
-__m128d Cmp128(__m128d a, __m128d b) {
-  if constexpr (Op == CmpOp::kLt) {
-    return _mm_cmplt_pd(a, b);
-  } else if constexpr (Op == CmpOp::kLe) {
-    return _mm_cmple_pd(a, b);
-  } else if constexpr (Op == CmpOp::kGt) {
-    return _mm_cmpgt_pd(a, b);
-  } else if constexpr (Op == CmpOp::kGe) {
-    return _mm_cmpge_pd(a, b);
-  } else {
-    return _mm_cmpeq_pd(a, b);
-  }
-}
-
-template <CmpOp Op>
-void AndCompareSse2(const double* vals, size_t count, double bound,
+// The compare loop, one 64-value bitmap word at a time: compare into 0/1
+// bytes, then pack. Unlike shifting each result into the word, the byte
+// loop vectorizes in an optimized build, and columnar scans, whose time
+// goes mostly to decode and this compare, depend on that. `cmp` is a
+// std:: comparison functor, so every comparison is ordered (NaN
+// compares false).
+template <typename Cmp>
+void AndCompareWith(Cmp cmp, const double* vals, size_t count, double bound,
                     uint64_t* bitmap) {
-  const __m128d vb = _mm_set1_pd(bound);
-  for (size_t w = 0; w * 64 < count; ++w) {
-    const size_t base = w * 64;
+  for (size_t base = 0; base < count; base += 64) {
     const size_t limit = std::min<size_t>(64, count - base);
-    uint64_t m = 0;
-    size_t b = 0;
-    for (; b + 2 <= limit; b += 2) {
-      const __m128d va = _mm_loadu_pd(vals + base + b);
-      m |= static_cast<uint64_t>(_mm_movemask_pd(Cmp128<Op>(va, vb))) << b;
+    uint8_t hit[64] = {};
+    for (size_t b = 0; b < limit; ++b) {
+      hit[b] = cmp(vals[base + b], bound);
     }
-    for (; b < limit; ++b) {
-      m |= static_cast<uint64_t>(CmpScalar<Op>(vals[base + b], bound)) << b;
-    }
-    bitmap[w] &= m;
+    bitmap[base / 64] &= PackBits(hit);
   }
-}
-
-void KernelSse2(const char* records, size_t record_bytes, size_t count,
-                const ColumnCondition* conditions, size_t num_conditions,
-                uint64_t* bitmap) {
-  InitBitmap(count, bitmap);
-  if (count == 0 || num_conditions == 0) {
-    return;
-  }
-  double vals[kMaxBatchRows];
-  for (size_t c = 0; c < num_conditions; ++c) {
-    const ColumnCondition& cond = conditions[c];
-    GatherColumn(records, record_bytes, count, cond.column, vals);
-    switch (cond.op) {
-      case CmpOp::kLt:
-        AndCompareSse2<CmpOp::kLt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kLe:
-        AndCompareSse2<CmpOp::kLe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGt:
-        AndCompareSse2<CmpOp::kGt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGe:
-        AndCompareSse2<CmpOp::kGe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kEq:
-        AndCompareSse2<CmpOp::kEq>(vals, count, cond.value, bitmap);
-        break;
-    }
-  }
-}
-
-#endif  // x86-64
-
-/// Dispatch over a contiguous column batch: same compare loops as the
-/// page kernels, minus the gather.
-void ColumnCompareScalar(const double* vals, size_t count, CmpOp op,
-                         double bound, uint64_t* bitmap) {
-  switch (op) {
-    case CmpOp::kLt:
-      AndCompareScalar<CmpOp::kLt>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kLe:
-      AndCompareScalar<CmpOp::kLe>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kGt:
-      AndCompareScalar<CmpOp::kGt>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kGe:
-      AndCompareScalar<CmpOp::kGe>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kEq:
-      AndCompareScalar<CmpOp::kEq>(vals, count, bound, bitmap);
-      break;
-  }
-}
-
-#if defined(__x86_64__) || defined(_M_X64)
-
-void ColumnCompareSse2(const double* vals, size_t count, CmpOp op,
-                       double bound, uint64_t* bitmap) {
-  switch (op) {
-    case CmpOp::kLt:
-      AndCompareSse2<CmpOp::kLt>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kLe:
-      AndCompareSse2<CmpOp::kLe>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kGt:
-      AndCompareSse2<CmpOp::kGt>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kGe:
-      AndCompareSse2<CmpOp::kGe>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kEq:
-      AndCompareSse2<CmpOp::kEq>(vals, count, bound, bitmap);
-      break;
-  }
-}
-
-#endif  // x86-64
-
-struct KernelChoice {
-  ScanKernelFn fn;
-  ColumnCompareFn column_fn;
-  const char* name;
-};
-
-KernelChoice PickKernel() {
-  const ScanKernelFn sse2 = Sse2ScanKernel();
-  ScanKernelFn avx2 = Avx2ScanKernel();  // null when not compiled in
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  if (avx2 != nullptr && !__builtin_cpu_supports("avx2")) {
-    avx2 = nullptr;
-  }
-#else
-  avx2 = nullptr;
-#endif
-  const KernelChoice scalar = {&KernelScalar, ScalarColumnCompare(),
-                               "scalar"};
-  const KernelChoice with_sse2 = {sse2, Sse2ColumnCompare(), "sse2"};
-  const KernelChoice with_avx2 = {avx2, Avx2ColumnCompare(), "avx2"};
-  const std::string want = GetEnvString("SEGDIFF_SCAN_KERNEL", "");
-  if (want == "scalar") {
-    return scalar;
-  }
-  if (want == "sse2" && sse2 != nullptr) {
-    return with_sse2;
-  }
-  if (want == "avx2" && avx2 != nullptr) {
-    return with_avx2;
-  }
-  // Default (and fallback for unsupported requests): widest available.
-  if (avx2 != nullptr) {
-    return with_avx2;
-  }
-  if (sse2 != nullptr) {
-    return with_sse2;
-  }
-  return scalar;
-}
-
-const KernelChoice& Active() {
-  static const KernelChoice choice = PickKernel();
-  return choice;
 }
 
 bool RangeCanMatch(const ColumnCondition& cond, double lo, double hi) {
@@ -281,18 +71,43 @@ bool RangeCanMatch(const ColumnCondition& cond, double lo, double hi) {
 
 }  // namespace
 
-ScanKernelFn ActiveScanKernel() { return Active().fn; }
+void InitSelectionBitmap(size_t count, uint64_t* bitmap) {
+  const size_t words = (count + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    bitmap[w] = ~uint64_t{0};
+  }
+  if (count % 64 != 0) {
+    bitmap[words - 1] = ~uint64_t{0} >> (64 - count % 64);
+  }
+}
 
-const char* ActiveScanKernelName() { return Active().name; }
+void AndCompare(const double* vals, size_t count, CmpOp op, double bound,
+                uint64_t* bitmap) {
+  switch (op) {
+    case CmpOp::kLt:
+      return AndCompareWith(std::less<>(), vals, count, bound, bitmap);
+    case CmpOp::kLe:
+      return AndCompareWith(std::less_equal<>(), vals, count, bound, bitmap);
+    case CmpOp::kGt:
+      return AndCompareWith(std::greater<>(), vals, count, bound, bitmap);
+    case CmpOp::kGe:
+      return AndCompareWith(std::greater_equal<>(), vals, count, bound,
+                            bitmap);
+    case CmpOp::kEq:
+      return AndCompareWith(std::equal_to<>(), vals, count, bound, bitmap);
+  }
+}
 
-ScanKernelFn ScalarScanKernel() { return &KernelScalar; }
-
-ScanKernelFn Sse2ScanKernel() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return &KernelSse2;
-#else
-  return nullptr;
-#endif
+void ScanKernel(const char* records, size_t record_bytes, size_t count,
+                const ColumnCondition* conditions, size_t num_conditions,
+                uint64_t* bitmap) {
+  InitSelectionBitmap(count, bitmap);
+  double vals[kMaxBatchRows];
+  for (size_t c = 0; c < num_conditions; ++c) {
+    const ColumnCondition& cond = conditions[c];
+    GatherColumn(records, record_bytes, count, cond.column, vals);
+    AndCompare(vals, count, cond.op, cond.value, bitmap);
+  }
 }
 
 bool ZoneCanMatch(const ZoneMap& zone_map, size_t zone_idx,
@@ -334,22 +149,6 @@ ZoneSurvey SurveyZones(const ZoneMap& zone_map,
     }
   }
   return survey;
-}
-
-void InitSelectionBitmap(size_t count, uint64_t* bitmap) {
-  InitBitmap(count, bitmap);
-}
-
-ColumnCompareFn ActiveColumnCompare() { return Active().column_fn; }
-
-ColumnCompareFn ScalarColumnCompare() { return &ColumnCompareScalar; }
-
-ColumnCompareFn Sse2ColumnCompare() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return &ColumnCompareSse2;
-#else
-  return nullptr;
-#endif
 }
 
 bool SegmentCanMatch(const ColumnSegmentInfo& info,

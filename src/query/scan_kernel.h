@@ -1,16 +1,15 @@
-// Batched predicate kernels and zone-map pruning tests.
+// Batched predicate evaluation and zone-map pruning tests.
 //
-// The batched sequential scan evaluates one heap page at a time: each
-// ColumnCondition is applied to the page's column values with a
-// branch-free compare loop that ANDs a selection bitmap, and only rows
-// whose bit survives reach the residual std::function / row callback.
-// Three kernel variants share one signature — a portable scalar loop
-// (auto-vectorizable), an SSE2 loop (x86-64 baseline), and an AVX2 loop
-// compiled with a target attribute and selected at runtime via CPU
-// detection, following the crc32c hardware/software dispatch pattern.
+// The batched sequential scan evaluates one heap page (or one decoded
+// columnar batch) at a time: each ColumnCondition is applied to a
+// contiguous run of column values by one portable, branch-free compare
+// loop that ANDs a selection bitmap, and only rows whose bit survives
+// reach the residual std::function / row callback. A heap page first
+// gathers each condition's column out of its fixed-width records; a
+// columnar batch is already contiguous.
 //
 // Semantics match EvalCondition exactly: all comparisons are ordered,
-// so a NaN cell never matches.
+// so a NaN cell (or a NaN bound) never matches.
 
 #ifndef SEGDIFF_QUERY_SCAN_KERNEL_H_
 #define SEGDIFF_QUERY_SCAN_KERNEL_H_
@@ -33,30 +32,26 @@ inline constexpr size_t kMaxBatchRows =
     (kPageCapacity - HeapFile::kHeaderBytes) / 8;
 inline constexpr size_t kBatchBitmapWords = (kMaxBatchRows + 63) / 64;
 
-/// Fills `bitmap` (ceil(count/64) words; bit i = record i matches every
-/// condition) for `count` fixed-width records starting at `records`.
-/// Bits at and above `count` are zero. `count` must not exceed
-/// kMaxBatchRows and every condition's column must lie within the
-/// record.
-using ScanKernelFn = void (*)(const char* records, size_t record_bytes,
-                              size_t count, const ColumnCondition* conditions,
-                              size_t num_conditions, uint64_t* bitmap);
+/// Sets the low `count` bits of `bitmap` (ceil(count/64) words); bits at
+/// and above `count` stay zero so callers can walk whole words.
+void InitSelectionBitmap(size_t count, uint64_t* bitmap);
 
-/// The kernel chosen for this process: the widest variant the CPU
-/// supports, overridable with SEGDIFF_SCAN_KERNEL=scalar|sse2|avx2
-/// (unsupported requests fall back to the widest supported variant).
-ScanKernelFn ActiveScanKernel();
+/// ANDs `bitmap` with `vals[i] op bound` over `count` contiguous values
+/// (bit i = value i). Comparisons are ordered: NaN never matches. Bits
+/// at and above `count` in the last word come out zero; words past
+/// ceil(count/64) are not touched.
+void AndCompare(const double* vals, size_t count, CmpOp op, double bound,
+                uint64_t* bitmap);
 
-/// Name of the variant ActiveScanKernel() returns ("scalar", "sse2",
-/// "avx2") — for --stats output and bench reports.
-const char* ActiveScanKernelName();
-
-/// The individual variants, exposed for differential tests. Sse2/Avx2
-/// are null function pointers off x86-64 (and Avx2 may be unusable even
-/// where non-null; callers outside tests should use ActiveScanKernel).
-ScanKernelFn ScalarScanKernel();
-ScanKernelFn Sse2ScanKernel();
-ScanKernelFn Avx2ScanKernel();
+/// Heap-page entry point: fills `bitmap` (ceil(count/64) words; bit i =
+/// record i matches every condition) for `count` fixed-width records
+/// starting at `records`, by gathering each condition's column and
+/// running AndCompare over it. Bits at and above `count` are zero.
+/// `count` must not exceed kMaxBatchRows and every condition's column
+/// must lie within the record.
+void ScanKernel(const char* records, size_t record_bytes, size_t count,
+                const ColumnCondition* conditions, size_t num_conditions,
+                uint64_t* bitmap);
 
 /// True when some value inside zone `zone_idx` could satisfy every
 /// condition. Sound with NaN-bearing pages: zone bounds exclude NaN
@@ -78,8 +73,8 @@ ZoneSurvey SurveyZones(const ZoneMap& zone_map,
                        const std::vector<ColumnCondition>& conditions);
 
 // ---------------------------------------------------------------------
-// Columnar scan path: decode one column batch at a time and run the
-// same selection-bitmap comparisons over the contiguous values.
+// Columnar scan path: decode one column batch at a time and run
+// AndCompare over the contiguous values.
 
 /// Rows per decode batch. A multiple of 64 (whole bitmap words) that
 /// fits the kBatchBitmapWords bitmap buffers the evaluators already
@@ -89,27 +84,6 @@ inline constexpr size_t kColumnBatchRows = 1024;
 static_assert(kColumnBatchRows % 64 == 0);
 static_assert(kColumnBatchRows / 64 <= kBatchBitmapWords);
 static_assert(ColumnStore::kMaxSegmentRows % kColumnBatchRows == 0);
-
-/// Sets the low `count` bits of `bitmap` (ceil(count/64) words); bits at
-/// and above `count` stay zero so callers can walk whole words.
-void InitSelectionBitmap(size_t count, uint64_t* bitmap);
-
-/// ANDs `bitmap` with `vals[i] op bound` over a contiguous column batch
-/// — the columnar counterpart of ScanKernelFn, minus the gather (the
-/// decoder already materialized the column). Comparisons are ordered:
-/// NaN never matches.
-using ColumnCompareFn = void (*)(const double* vals, size_t count, CmpOp op,
-                                 double bound, uint64_t* bitmap);
-
-/// Widest supported variant, honouring the same SEGDIFF_SCAN_KERNEL
-/// override as ActiveScanKernel().
-ColumnCompareFn ActiveColumnCompare();
-
-/// The individual variants, exposed for differential tests (null off
-/// x86-64 / without AVX2, like their ScanKernelFn counterparts).
-ColumnCompareFn ScalarColumnCompare();
-ColumnCompareFn Sse2ColumnCompare();
-ColumnCompareFn Avx2ColumnCompare();
 
 /// Segment-level pruning test over the directory's zone statistics —
 /// the columnar counterpart of ZoneCanMatch, with identical NaN rules.
@@ -141,7 +115,7 @@ ZoneMap::ColumnRange ColumnarGlobalRange(const ColumnStore& store,
 
 /// Streams one columnar segment in kColumnBatchRows batches, decoding
 /// only the requested columns into 64-byte-aligned buffers that feed
-/// ColumnCompareFn (and, for materialization, row reconstruction).
+/// AndCompare (and, for materialization, row reconstruction).
 class ColumnDecoder {
  public:
   /// `handle` must outlive the decoder. `columns` are table column

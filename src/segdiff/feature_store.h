@@ -97,18 +97,13 @@ enum class QueryMode : unsigned char {
 /// Per-search knobs.
 struct SearchOptions {
   QueryMode mode = QueryMode::kSeqScan;
-  /// Paper semantics issue one range query per stored corner/edge (each
-  /// its own scan). `fused_scan` instead evaluates all of a table's
-  /// conditions in a single pass — an optimization the ablation bench
-  /// quantifies. Only affects kSeqScan.
-  bool fused_scan = false;
   /// Intra-query parallelism. 0 or 1 executes everything serially on the
   /// calling thread, preserving the paper's single-threaded semantics.
   /// >= 2 runs the search's independent range queries concurrently on a
-  /// worker pool (fused and Exh scans are instead partitioned across the
-  /// workers by heap page). Results and SearchStats are identical to the
-  /// serial path; only wall-clock time changes. Requests > 1 are clamped
-  /// to the store's AdmissionOptions::max_threads_per_query.
+  /// worker pool (Exh's single range scan is instead partitioned across
+  /// the workers by heap page). Results and SearchStats are identical to
+  /// the serial path; only wall-clock time changes. Requests > 1 are
+  /// clamped to the store's AdmissionOptions::max_threads_per_query.
   size_t num_threads = 0;
 
   // Governance (see DESIGN.md §11). All default to "ungoverned".

@@ -489,12 +489,11 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     return predicate;
   };
 
-  // One executable unit: a fused whole-table pass, or a single
-  // point/line range query with its access path already resolved.
+  // One executable unit: a single point/line range query with its
+  // access path already resolved.
   struct QueryTask {
     int k = 1;
     Table* table = nullptr;
-    bool fused = false;
     RangeQuery query;
     QueryMode mode = QueryMode::kSeqScan;
   };
@@ -517,11 +516,6 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     if (snap_rows == 0) {
       continue;
     }
-    if (options.mode == QueryMode::kSeqScan && options.fused_scan) {
-      tasks.push_back(QueryTask{k, table, true, RangeQuery{},
-                                QueryMode::kSeqScan});
-      continue;
-    }
     std::vector<RangeQuery> queries;
     for (int j = 1; j <= k; ++j) {
       queries.push_back(RangeQuery{false, j});
@@ -541,13 +535,12 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
         mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
                                                      : QueryMode::kSeqScan;
       }
-      tasks.push_back(QueryTask{k, table, false, query, mode});
+      tasks.push_back(QueryTask{k, table, query, mode});
     }
   }
 
   // Runs one task, collecting matches into `out` (private to the task)
-  // and execution counters into `scan`. Fused tasks may additionally
-  // partition their single pass across the pool by heap page.
+  // and execution counters into `scan`.
   auto run_task = [&](const QueryTask& task, std::vector<PairId>* out,
                       ScanStats* scan) -> Status {
     const int k = task.k;
@@ -560,32 +553,6 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
       id.t_a = 0.0;  // resolved after dedup
       return id;
     };
-    if (task.fused) {
-      // One pass evaluating the OR of every query's conditions.
-      std::vector<RangeQuery> queries;
-      for (int j = 1; j <= k; ++j) {
-        queries.push_back(RangeQuery{false, j});
-      }
-      for (int j = 1; j < k; ++j) {
-        queries.push_back(RangeQuery{true, j});
-      }
-      std::vector<Predicate> predicates;
-      predicates.reserve(queries.size());
-      for (const RangeQuery& query : queries) {
-        predicates.push_back(make_predicate(query));
-      }
-      Predicate fused;
-      fused.AndResidual([&predicates](const char* record) {
-        for (const Predicate& p : predicates) {
-          if (p.Matches(record)) {
-            return true;
-          }
-        }
-        return false;
-      });
-      return CollectSeqScan(*task.table, fused, pool, scope.num_threads,
-                            budget, decode, out, scan, scan_options);
-    }
     const RowCallback collect = CollectRows(out, budget, decode);
     if (task.mode == QueryMode::kSeqScan) {
       return SeqScan(*task.table, make_predicate(task.query), collect, scan,
@@ -629,11 +596,8 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   };
 
   local->queries_issued = tasks.size();
-  if (pool == nullptr || tasks.size() <= 1 ||
-      (options.mode == QueryMode::kSeqScan && options.fused_scan)) {
-    // Serial task loop. Fused tasks still fan out internally when a pool
-    // exists (table-at-a-time with partitioned passes avoids nesting
-    // task- and partition-level parallelism).
+  if (pool == nullptr || tasks.size() <= 1) {
+    // Serial task loop.
     for (const QueryTask& task : tasks) {
       SEGDIFF_RETURN_IF_ERROR(QuarantineScanError(
           run_task(task, results, &local->scan),

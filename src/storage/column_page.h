@@ -100,6 +100,8 @@ std::string EncodeColumnSegment(const char* records, size_t num_columns,
 
 /// Sequential decoder over one encoded column. Decode/Skip advance the
 /// cursor; total Decode+Skip counts must not exceed the segment's rows.
+/// Decoding loads whole 64-bit words, so `payload` must stay readable
+/// for 8 bytes past the column's `payload_bytes`.
 class ColumnCursor {
  public:
   ColumnCursor() = default;

@@ -50,7 +50,6 @@ run_cli("appended [0-9]+ observations .*eps=0.2"
 run_cli("periods with a drop" search --db ${DB} --t-hours 1 --v -3)
 run_cli("pages: [0-9]+ scanned, [0-9]+ pruned"
         search --db ${DB} --t-hours 1 --v -3 --stats)
-run_cli("kernel: " search --db ${DB} --t-hours 1 --v -3 --stats)
 run_cli("periods with a jump"
         search --db ${DB} --t-hours 2 --v 2 --jump --mode index)
 run_cli("feature rows" stats --db ${DB})
@@ -80,6 +79,11 @@ function(run_cli_status expect_code expect_substring)
             "\n${out}${err}")
   endif()
 endfunction()
+
+# search --mode takes seq, index or auto only: anything else is a usage
+# error (exit 2) naming the accepted values, never a silent seq scan.
+run_cli_status(2 "--mode must be seq, index or auto"
+               search --db ${DB} --t-hours 1 --v -3 --mode idx)
 
 # Transect workflow: build a small deployment, search it, rebalance it
 # onto a new shard width, then damage one sensor store and walk the

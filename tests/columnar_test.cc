@@ -78,7 +78,12 @@ void ExpectRoundTrip(const std::vector<std::vector<double>>& cols) {
       std::memcpy(&bytes, blob.data() + 16 + 32 * p + 4, 4);
       offset += bytes;
     }
-    ColumnCursor cursor(&dir, blob.data() + offset, rows);
+    // Cursors load whole words, so like ColumnSegmentHandle hand them
+    // the payload followed by 8 readable bytes of slack.
+    ASSERT_LE(offset + dir.payload_bytes, blob.size());
+    std::string payload(blob.data() + offset, dir.payload_bytes);
+    payload.append(8, '\0');
+    ColumnCursor cursor(&dir, payload.data(), rows);
     std::vector<double> decoded(rows);
     cursor.Decode(rows, decoded.data());
     for (size_t r = 0; r < rows; ++r) {
@@ -92,7 +97,7 @@ void ExpectRoundTrip(const std::vector<std::vector<double>>& cols) {
     }
     // Skip/Decode interleaving must land on the same values.
     if (rows >= 8) {
-      ColumnCursor skipper(&dir, blob.data() + offset, rows);
+      ColumnCursor skipper(&dir, payload.data(), rows);
       skipper.Skip(3);
       double v[4];
       skipper.Decode(4, v);

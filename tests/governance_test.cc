@@ -834,32 +834,67 @@ TEST_F(CancelFaultMatrixTest, GovernedSearchSurvivesInjectedReadFailures) {
 }
 
 TEST_F(CancelFaultMatrixTest, ParallelGovernedSearchUnderFaults) {
-  FaultInjectionVfs fault_vfs;
-  SegDiffOptions options;
-  options.window_s = 4 * 3600.0;
-  options.vfs = &fault_vfs;
-  auto store = SegDiffIndex::Open(path_, options);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->IngestSeries(series_).ok());
-  auto reference = (*store)->SearchDrops(3600.0, -1.0);
-  ASSERT_TRUE(reference.ok());
+  // Both parallel shapes under a read fault: SegDiff's concurrent
+  // point/line queries, and Exh's one scan partitioned by heap page.
+  // Each must end in the injected error or the full answer, and leave
+  // the store answering correctly once the fault clears.
+  const auto check = [](FaultInjectionVfs& fault_vfs, auto& store,
+                        const auto& same) {
+    SearchOptions governed;
+    governed.mode = QueryMode::kSeqScan;
+    governed.num_threads = 4;
+    auto reference = store->SearchDrops(3600.0, -1.0);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_FALSE(reference->empty());
 
-  ASSERT_TRUE((*store)->DropCaches().ok());
-  fault_vfs.FailAfterReads(10);
-  SearchOptions governed;
-  governed.num_threads = 4;
-  governed.fused_scan = true;
-  auto result = (*store)->SearchDrops(3600.0, -1.0, governed);
-  if (!result.ok()) {
-    EXPECT_TRUE(result.status().IsIOError() ||
-                result.status().IsCorruption())
-        << result.status().ToString();
+    ASSERT_TRUE(store->DropCaches().ok());
+    fault_vfs.FailAfterReads(10);
+    auto result = store->SearchDrops(3600.0, -1.0, governed);
+    if (!result.ok()) {
+      EXPECT_TRUE(result.status().IsIOError() ||
+                  result.status().IsCorruption())
+          << result.status().ToString();
+    }
+    EXPECT_GT(fault_vfs.counters().injected_failures, 0u);
+
+    fault_vfs.FailAfterReads(-1);
+    auto healed = store->SearchDrops(3600.0, -1.0, governed);
+    ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+    ASSERT_EQ(healed->size(), reference->size());
+    for (size_t i = 0; i < healed->size(); ++i) {
+      EXPECT_TRUE(same((*healed)[i], (*reference)[i])) << "row " << i;
+    }
+  };
+  {
+    SCOPED_TRACE("segdiff");
+    FaultInjectionVfs fault_vfs;
+    SegDiffOptions options;
+    options.window_s = 4 * 3600.0;
+    options.vfs = &fault_vfs;
+    auto store = SegDiffIndex::Open(path_, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->IngestSeries(series_).ok());
+    check(fault_vfs, *store,
+          [](const PairId& a, const PairId& b) { return a == b; });
   }
-
-  fault_vfs.FailAfterReads(-1);
-  auto healed = (*store)->SearchDrops(3600.0, -1.0);
-  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  EXPECT_EQ(*healed, *reference);
+  const std::string exh_path =
+      UniqueTestPath("segdiff_cancel_fault", "_exh.db");
+  std::remove(exh_path.c_str());
+  {
+    SCOPED_TRACE("exh");
+    FaultInjectionVfs fault_vfs;
+    ExhOptions options;
+    options.window_s = 4 * 3600.0;
+    options.vfs = &fault_vfs;
+    auto store = ExhIndex::Open(exh_path, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->IngestSeries(series_).ok());
+    check(fault_vfs, *store, [](const ExhEvent& a, const ExhEvent& b) {
+      return a.t_start == b.t_start && a.t_end == b.t_end && a.dv == b.dv;
+    });
+  }
+  std::remove(exh_path.c_str());
+  std::remove((exh_path + ".wal").c_str());
 }
 
 TEST(FaultVfsConcurrencyTest, CountdownIsExactUnderContention) {

@@ -65,20 +65,17 @@ TEST_F(ParallelQueryTest, SegDiffParallelMatchesSerialAcrossModes) {
   struct ModeCase {
     const char* name;
     QueryMode mode;
-    bool fused;
   };
   const ModeCase cases[] = {
-      {"seq", QueryMode::kSeqScan, false},
-      {"fused", QueryMode::kSeqScan, true},
-      {"index", QueryMode::kIndexScan, false},
-      {"auto", QueryMode::kAuto, false},
+      {"seq", QueryMode::kSeqScan},
+      {"index", QueryMode::kIndexScan},
+      {"auto", QueryMode::kAuto},
   };
   const double T = 3600.0;
   for (const ModeCase& c : cases) {
     SCOPED_TRACE(c.name);
     SearchOptions serial;
     serial.mode = c.mode;
-    serial.fused_scan = c.fused;
     serial.num_threads = 0;
     SearchOptions parallel = serial;
     parallel.num_threads = 4;
@@ -152,6 +149,28 @@ TEST_F(ParallelQueryTest, ExhParallelMatchesSerial) {
     EXPECT_DOUBLE_EQ((*a)[i].dv, (*b)[i].dv);
   }
   ExpectSameStats(serial_stats, parallel_stats);
+}
+
+TEST_F(ParallelQueryTest, ExhTruncatedParallelSearchKeepsScanStats) {
+  // A budget breach fails the partitioned scan; the partitions' counters
+  // must still reach SearchStats, as they do on the serial path.
+  auto exh = ExhIndex::Open(path_, ExhOptions{});
+  ASSERT_TRUE(exh.ok());
+  ASSERT_TRUE((*exh)->IngestSeries(series_).ok());
+  for (const size_t threads : {0u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    SearchOptions search;
+    search.mode = QueryMode::kSeqScan;
+    search.num_threads = threads;
+    search.max_result_bytes = 4096;
+    SearchStats stats;
+    auto events = (*exh)->SearchDrops(3 * 3600.0, -0.5, search, &stats);
+    ASSERT_TRUE(events.ok()) << events.status().ToString();
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_GT(stats.pairs_returned, 0u);
+    EXPECT_GT(stats.scan.rows_scanned, 0u);
+    EXPECT_GE(stats.scan.rows_matched, stats.pairs_returned);
+  }
 }
 
 TEST(TransectConcurrentIngestTest, MatchesSerialIngest) {

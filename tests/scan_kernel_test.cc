@@ -1,9 +1,10 @@
-// Scan-kernel correctness: every kernel variant against the scalar
-// predicate evaluator (NaN included), plus a differential fuzz harness
-// proving that the batched + zone-map-pruned scan — serial and
-// partitioned across a thread pool — returns byte-identical results and
-// consistent statistics versus the row-at-a-time baseline on randomized
-// workloads (random schemas, row counts, NaN densities, and conjunctive
+// Scan-kernel correctness: the one compare loop (AndCompare) and the
+// heap-page entry point (ScanKernel) against the scalar predicate
+// evaluator (NaN included), plus a differential fuzz harness proving
+// that the batched + zone-map-pruned scan — serial and partitioned
+// across a thread pool — returns byte-identical results and consistent
+// statistics versus the row-at-a-time baseline on randomized workloads
+// (random schemas, row counts, NaN densities, and conjunctive
 // predicates, including all-pruned and empty-table cases).
 
 #include <cmath>
@@ -29,35 +30,57 @@ namespace segdiff {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr CmpOp kAllOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe,
+                             CmpOp::kEq};
 
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
+CmpOp RandomOp(Rng& rng) { return kAllOps[rng.UniformU64(5)]; }
+
+bool Bit(const uint64_t* bitmap, size_t i) {
+  return (bitmap[i / 64] >> (i % 64)) & 1u;
 }
 
-CmpOp RandomOp(Rng& rng) {
-  static const CmpOp kOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
-                               CmpOp::kGe, CmpOp::kEq};
-  return kOps[rng.UniformU64(5)];
+TEST(ScanKernelTest, AndCompareMatchesEvalCondition) {
+  Rng rng(14);
+  for (const size_t count : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                             size_t{1000}, kColumnBatchRows}) {
+    // Small integers make equality hits common; every 7th cell is NaN.
+    std::vector<double> vals(count);
+    for (size_t i = 0; i < count; ++i) {
+      vals[i] = i % 7 == 3 ? kNaN : static_cast<double>(rng.UniformU64(9));
+    }
+    const size_t words = (count + 63) / 64;
+    for (const CmpOp op : kAllOps) {
+      for (const double bound : {4.0, kNaN}) {
+        SCOPED_TRACE("count " + std::to_string(count) + " op " +
+                     std::to_string(static_cast<int>(op)) + " bound " +
+                     std::to_string(bound));
+        // Exactly ceil(count/64) words, so ASan flags any overrun; the
+        // first compare runs on a fresh bitmap, the second ANDs into it.
+        std::vector<uint64_t> bitmap(words);
+        InitSelectionBitmap(count, bitmap.data());
+        AndCompare(vals.data(), count, op, bound, bitmap.data());
+        const ColumnCondition second{0, CmpOp::kGe, 2.0};
+        std::vector<uint64_t> both = bitmap;
+        AndCompare(vals.data(), count, second.op, second.value, both.data());
+        for (size_t i = 0; i < count; ++i) {
+          char record[8];
+          EncodeDouble(record, vals[i]);
+          const bool expect = EvalCondition({0, op, bound}, record);
+          ASSERT_EQ(Bit(bitmap.data(), i), expect) << "row " << i;
+          ASSERT_EQ(Bit(both.data(), i),
+                    expect && EvalCondition(second, record))
+              << "row " << i;
+        }
+        for (size_t i = count; i < words * 64; ++i) {
+          ASSERT_FALSE(Bit(bitmap.data(), i)) << "ghost bit " << i;
+          ASSERT_FALSE(Bit(both.data(), i)) << "ghost bit " << i;
+        }
+      }
+    }
+  }
 }
 
-TEST(ScanKernelTest, VariantsMatchEvalConditionIncludingNaN) {
-  struct Variant {
-    const char* name;
-    ScanKernelFn fn;
-  };
-  std::vector<Variant> variants = {{"scalar", ScalarScanKernel()}};
-  if (Sse2ScanKernel() != nullptr) {
-    variants.push_back({"sse2", Sse2ScanKernel()});
-  }
-  if (Avx2ScanKernel() != nullptr && CpuHasAvx2()) {
-    variants.push_back({"avx2", Avx2ScanKernel()});
-  }
-  ASSERT_NE(variants[0].fn, nullptr);
-
+TEST(ScanKernelTest, HeapPageMatchesEvalConditionIncludingNaN) {
   Rng rng(2008);
   for (int trial = 0; trial < 50; ++trial) {
     const size_t num_columns = 1 + rng.UniformU64(6);
@@ -80,28 +103,22 @@ TEST(ScanKernelTest, VariantsMatchEvalConditionIncludingNaN) {
           {rng.UniformU64(num_columns), RandomOp(rng), value});
     }
 
-    for (const Variant& variant : variants) {
-      uint64_t bitmap[kBatchBitmapWords];
-      variant.fn(records.data(), record_bytes, count, conditions.data(),
-                 conditions.size(), bitmap);
-      for (size_t i = 0; i < count; ++i) {
-        bool expect = true;
-        for (const ColumnCondition& condition : conditions) {
-          expect =
-              expect &&
-              EvalCondition(condition, records.data() + i * record_bytes);
-        }
-        const bool got = (bitmap[i / 64] >> (i % 64)) & 1u;
-        ASSERT_EQ(got, expect)
-            << variant.name << " trial " << trial << " row " << i;
+    uint64_t bitmap[kBatchBitmapWords];
+    ScanKernel(records.data(), record_bytes, count, conditions.data(),
+               conditions.size(), bitmap);
+    for (size_t i = 0; i < count; ++i) {
+      bool expect = true;
+      for (const ColumnCondition& condition : conditions) {
+        expect = expect &&
+                 EvalCondition(condition, records.data() + i * record_bytes);
       }
-      // Bits at and above `count` stay zero within the written words
-      // (callers iterate whole words).
-      const size_t written_bits = (count + 63) / 64 * 64;
-      for (size_t i = count; i < written_bits; ++i) {
-        ASSERT_FALSE((bitmap[i / 64] >> (i % 64)) & 1u)
-            << variant.name << " ghost bit " << i;
-      }
+      ASSERT_EQ(Bit(bitmap, i), expect) << "trial " << trial << " row " << i;
+    }
+    // Bits at and above `count` stay zero within the written words
+    // (callers iterate whole words).
+    const size_t written_bits = (count + 63) / 64 * 64;
+    for (size_t i = count; i < written_bits; ++i) {
+      ASSERT_FALSE(Bit(bitmap, i)) << "trial " << trial << " ghost bit " << i;
     }
   }
 }
@@ -112,7 +129,7 @@ TEST(ScanKernelTest, EmptyConditionListSelectsEverything) {
     EncodeDouble(records + c * 8, c == 3 ? kNaN : 1.0);
   }
   uint64_t bitmap[kBatchBitmapWords];
-  ScalarScanKernel()(records, 8, 8, nullptr, 0, bitmap);
+  ScanKernel(records, 8, 8, nullptr, 0, bitmap);
   EXPECT_EQ(bitmap[0], 0xFFu);
 }
 

@@ -79,11 +79,6 @@ TEST_F(SegDiffIndexTest, AllQueryModesAgree) {
       auto seq_result = index->SearchDrops(T, V, seq);
       ASSERT_TRUE(seq_result.ok());
 
-      SearchOptions fused = seq;
-      fused.fused_scan = true;
-      auto fused_result = index->SearchDrops(T, V, fused);
-      ASSERT_TRUE(fused_result.ok());
-
       SearchOptions idx;
       idx.mode = QueryMode::kIndexScan;
       auto idx_result = index->SearchDrops(T, V, idx);
@@ -96,11 +91,9 @@ TEST_F(SegDiffIndexTest, AllQueryModesAgree) {
 
       ASSERT_EQ(seq_result->size(), idx_result->size())
           << "T=" << T << " V=" << V;
-      ASSERT_EQ(seq_result->size(), fused_result->size());
       ASSERT_EQ(seq_result->size(), auto_result->size());
       for (size_t i = 0; i < seq_result->size(); ++i) {
         EXPECT_EQ((*seq_result)[i], (*idx_result)[i]);
-        EXPECT_EQ((*seq_result)[i], (*fused_result)[i]);
         EXPECT_EQ((*seq_result)[i], (*auto_result)[i]);
       }
     }

@@ -26,8 +26,8 @@
 //                         budget returns the partial results marked
 //                         TRUNCATED; --stats additionally prints executor
 //                         counters — pages scanned/pruned by the zone
-//                         maps, rows scanned/pruned, the active scan
-//                         kernel — and the store's governance counters)
+//                         maps, rows scanned/pruned/matched, index
+//                         entries — and the store's governance counters)
 //   segdiff_cli stats    --db store.db
 //                        (includes the write-ahead log: size, last and
 //                         durable LSNs, the applied (checkpoint) LSN,
@@ -112,7 +112,6 @@
 #include <string>
 #include <vector>
 
-#include "query/scan_kernel.h"
 #include "segdiff/segdiff_index.h"
 #include "segdiff/transect_index.h"
 #include "segment/sliding_window.h"
@@ -323,6 +322,19 @@ int CmdSearch(const Flags& flags) {
     std::fprintf(stderr, "search: --db is required\n");
     return 2;
   }
+  SearchOptions search;
+  const std::string mode = flags.Get("--mode", "seq");
+  if (mode == "seq") {
+    search.mode = QueryMode::kSeqScan;
+  } else if (mode == "index") {
+    search.mode = QueryMode::kIndexScan;
+  } else if (mode == "auto") {
+    search.mode = QueryMode::kAuto;
+  } else {
+    std::fprintf(stderr, "search: --mode must be seq, index or auto (got "
+                 "'%s')\n", mode.c_str());
+    return 2;
+  }
   const double T = flags.GetDouble("--t-hours", 1.0) * 3600.0;
   const bool jump = flags.Has("--jump");
   const double V = flags.GetDouble("--v", jump ? 3.0 : -3.0);
@@ -331,15 +343,6 @@ int CmdSearch(const Flags& flags) {
   auto store = SegDiffIndex::Open(db, options);
   if (!store.ok()) return Fail(store.status());
 
-  SearchOptions search;
-  const std::string mode = flags.Get("--mode", "seq");
-  if (mode == "index") {
-    search.mode = QueryMode::kIndexScan;
-  } else if (mode == "auto") {
-    search.mode = QueryMode::kAuto;
-  } else {
-    search.mode = QueryMode::kSeqScan;
-  }
   search.deadline_ms = flags.GetUint64("--timeout-ms", 0);
   search.max_result_bytes = flags.GetUint64("--max-mem", 0);
   search.num_threads = static_cast<size_t>(flags.GetInt("--threads", 0));
@@ -373,7 +376,6 @@ int CmdSearch(const Flags& flags) {
                 static_cast<unsigned long long>(scan.rows_pruned),
                 static_cast<unsigned long long>(scan.rows_matched),
                 static_cast<unsigned long long>(scan.index_entries_scanned));
-    std::printf("  kernel: %s\n", ActiveScanKernelName());
     const GovernanceCounters gov =
         (*store)->admission_controller()->counters();
     std::printf("  governance: %llu admitted (%llu queued), %llu rejected, "
