@@ -4,9 +4,9 @@
 //      and our queryable row layout (2k+3 cols) vs the paper's c2 = k+4.
 //   B. Self pairs: rows added by within-segment event coverage.
 //   C. Segmentation algorithm: sliding-window vs bottom-up r.
-//   D/E. Access paths: per-corner sequential scans vs index scans, and
-//      does the planner (kAuto) pick the faster path across the query
-//      space?
+//   D/E. Access paths: per-corner sequential scans vs index scans across
+//      the query space (the paper's Figures 10-11 crossover). kAuto is
+//      the sequential scan, so it gets no column of its own.
 
 #include <functional>
 #include <iostream>
@@ -131,10 +131,9 @@ int RunBench() {
   SEGDIFF_CHECK_OK((*index)->IngestSeries(series));
 
   PrintBanner(std::cout,
-              "D/E: per-corner seq scans vs index vs planner "
+              "D/E: per-corner seq scans vs index "
               "(warm cache, drop search)");
-  TablePrinter d({"T (h)", "V", "per-query seq ms", "index ms", "auto ms",
-                  "auto == best?"});
+  TablePrinter d({"T (h)", "V", "per-query seq ms", "index ms"});
   for (double Th : {0.25, 1.0, 8.0}) {
     for (double V : {-1.0, -6.0, -12.0}) {
       const double T = Th * kHourSeconds;
@@ -152,15 +151,8 @@ int RunBench() {
       SearchOptions seq;
       SearchOptions idx;
       idx.mode = QueryMode::kIndexScan;
-      SearchOptions automatic;
-      automatic.mode = QueryMode::kAuto;
-      const double t_seq = timed(seq);
-      const double t_idx = timed(idx);
-      const double t_auto = timed(automatic);
-      const double best = std::min(t_seq, t_idx);
-      d.AddRow({Fmt(Th, 2), Fmt(V, 0), Fmt(t_seq, 3), Fmt(t_idx, 3),
-                Fmt(t_auto, 3),
-                t_auto <= 2.0 * best ? "yes" : "NO"});
+      d.AddRow({Fmt(Th, 2), Fmt(V, 0), Fmt(timed(seq), 3),
+                Fmt(timed(idx), 3)});
     }
   }
   d.Print(std::cout);

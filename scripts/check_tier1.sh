@@ -18,9 +18,11 @@
 #   4. an AddressSanitizer build running the streaming-ingest, storage,
 #      SegDiff and Exh store suites (the subsystems that serialize/restore
 #      raw state blobs through the shared FeatureStore lifecycle), the
-#      transect shard suite (the shard-manifest decoder's rejections), and
+#      transect shard suite (the shard-manifest decoder's rejections),
 #      the scan-kernel and columnar suites (the selection-bitmap compare
-#      over its fixed-size batch buffers, and the column decoders)
+#      over its fixed-size batch buffers, and the column decoders), and
+#      the zone-map and query suites (ZoneMap::Deserialize decodes
+#      catalog bytes, and zone pruning is what kAuto's scan relies on)
 #      plus the `faults` and `governance` ctest groups (crash-recovery,
 #      fault injection, and cancellation — the error paths that exercise
 #      partially-initialized and partially-released state)
@@ -182,15 +184,16 @@ echo "wal smoke: recovered (${BASE_SEGMENTS} -> ${AFTER_SEGMENTS} segments)," \
 rm -rf "${WAL_WORK}"
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
-  echo "== asan: configure + build (streaming + storage + fault suites) =="
+  echo "== asan: configure + build (streaming + storage + query + fault suites) =="
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test exh_naive_test \
-    transect_shard_test scan_kernel_test columnar_test fault_injection_test \
-    chaos_test transect_chaos_test governance_test
+    transect_shard_test scan_kernel_test columnar_test zone_map_test \
+    query_test fault_injection_test chaos_test transect_chaos_test \
+    governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|TransectShardTest|ScanKernelTest|ScanDifferentialTest|ColumnarDifferentialTest|ColumnEncodingTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|TransectShardTest|ScanKernelTest|ScanDifferentialTest|ColumnarDifferentialTest|ColumnEncodingTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|^QueryTest|PredicateTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

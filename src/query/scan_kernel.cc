@@ -141,11 +141,9 @@ ZoneSurvey SurveyZones(const ZoneMap& zone_map,
                        const std::vector<ColumnCondition>& conditions) {
   ZoneSurvey survey;
   survey.zones_total = zone_map.zone_count();
-  survey.rows_total = zone_map.total_rows();
   for (size_t z = 0; z < zone_map.zone_count(); ++z) {
     if (ZoneCanMatch(zone_map, z, conditions)) {
       ++survey.zones_surviving;
-      survey.rows_surviving += zone_map.zone(z).rows;
     }
   }
   return survey;
@@ -183,42 +181,12 @@ ColumnarSurvey SurveyColumnarSegments(
     const std::vector<ColumnCondition>& conditions) {
   ColumnarSurvey survey;
   survey.segments_total = store.segment_count();
-  survey.rows_total = store.row_count();
-  survey.pages_total = store.page_count();
   for (const ColumnSegmentInfo& info : store.meta().segments) {
     if (SegmentCanMatch(info, conditions)) {
       ++survey.segments_surviving;
-      survey.rows_surviving += info.rows;
-      survey.pages_surviving += info.pages;
     }
   }
   return survey;
-}
-
-ZoneMap::ColumnRange ColumnarGlobalRange(const ColumnStore& store,
-                                         size_t column) {
-  ZoneMap::ColumnRange range{1.0, -1.0, false};  // inverted: nothing seen
-  bool first = true;
-  for (const ColumnSegmentInfo& info : store.meta().segments) {
-    if (column >= info.min.size()) {
-      continue;
-    }
-    range.has_nan = range.has_nan || ((info.nan_mask >> column) & 1u) != 0;
-    const double lo = info.min[column];
-    const double hi = info.max[column];
-    if (!(lo <= hi)) {
-      continue;  // all-NaN (or polluted) segment contributes no bounds
-    }
-    if (first) {
-      range.lo = lo;
-      range.hi = hi;
-      first = false;
-    } else {
-      range.lo = std::min(range.lo, lo);
-      range.hi = std::max(range.hi, hi);
-    }
-  }
-  return range;
 }
 
 Result<ColumnDecoder> ColumnDecoder::Create(

@@ -61,13 +61,11 @@ void ScanKernel(const char* records, size_t record_bytes, size_t count,
 bool ZoneCanMatch(const ZoneMap& zone_map, size_t zone_idx,
                   const std::vector<ColumnCondition>& conditions);
 
-/// Page-level selectivity survey: how much of the table survives
-/// pruning under `conditions`. Feeds the planner's cost model.
+/// Page-level pruning survey: how many zones survive `conditions`
+/// (SQL EXPLAIN prints it).
 struct ZoneSurvey {
   uint64_t zones_total = 0;
   uint64_t zones_surviving = 0;
-  uint64_t rows_total = 0;
-  uint64_t rows_surviving = 0;
 };
 ZoneSurvey SurveyZones(const ZoneMap& zone_map,
                        const std::vector<ColumnCondition>& conditions);
@@ -92,26 +90,14 @@ static_assert(ColumnStore::kMaxSegmentRows % kColumnBatchRows == 0);
 bool SegmentCanMatch(const ColumnSegmentInfo& info,
                      const std::vector<ColumnCondition>& conditions);
 
-/// Selectivity survey over a table's columnar segments, from catalog
-/// statistics alone (no IO). zones = segments; rows/pages feed the same
-/// cost model as SurveyZones.
+/// Pruning survey over a table's columnar segments, from catalog
+/// statistics alone (no IO): the segment counterpart of SurveyZones.
 struct ColumnarSurvey {
   uint64_t segments_total = 0;
   uint64_t segments_surviving = 0;
-  uint64_t rows_total = 0;
-  uint64_t rows_surviving = 0;
-  uint64_t pages_total = 0;
-  uint64_t pages_surviving = 0;
 };
 ColumnarSurvey SurveyColumnarSegments(
     const ColumnStore& store, const std::vector<ColumnCondition>& conditions);
-
-/// Global [min, max] (plus NaN flag) of column `column` over a columnar
-/// store's segment statistics — the segment-directory counterpart of
-/// ZoneMap::GlobalRange, for planner selectivity estimates on
-/// dual-format tables. lo > hi when no non-NaN value was recorded.
-ZoneMap::ColumnRange ColumnarGlobalRange(const ColumnStore& store,
-                                         size_t column);
 
 /// Streams one columnar segment in kColumnBatchRows batches, decoding
 /// only the requested columns into 64-byte-aligned buffers that feed

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/bytes.h"
-#include "query/planner.h"
 #include "query/predicate.h"
 
 namespace segdiff {
@@ -159,12 +158,11 @@ Result<std::vector<ExhEvent>> ExhIndex::Search(bool drop, double T, double V,
 Status ExhIndex::SearchScan(bool drop, double T, double V,
                             const SearchOptions& options, SearchScope& scope,
                             std::vector<ExhEvent>* events) {
-  // Zone maps feed both the pruned sequential scan and the kAuto cost
-  // model; a map dropped at open is rebuilt here, once. The attach
-  // mutates the live table, so writers are excluded too (ingest_mu_
-  // before lazy_mu_) — the map becomes visible to later snapshots; this
-  // search's (earlier) snapshot scans unpruned, which is correct, just
-  // slower.
+  // Zone maps feed the pruned sequential scan; a map dropped at open is
+  // rebuilt here, once. The attach mutates the live table, so writers
+  // are excluded too (ingest_mu_ before lazy_mu_) — the map becomes
+  // visible to later snapshots; this search's (earlier) snapshot scans
+  // unpruned, which is correct, just slower.
   {
     std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
     std::lock_guard<std::mutex> lock(lazy_mu_);
@@ -172,29 +170,15 @@ Status ExhIndex::SearchScan(bool drop, double T, double V,
                                                 "the exh pair table"));
   }
 
-  const TableSnapshotView* snap_view = scope.snapshot.TableView(table_->name());
-  if (snap_view == nullptr) {
-    return Status::Internal("snapshot is missing the exh pair table");
-  }
-
-  Predicate predicate;
-  predicate.And(0, CmpOp::kLe, T);
-  predicate.And(1, drop ? CmpOp::kLe : CmpOp::kGe, V);
-
-  QueryMode mode = options.mode;
-  if (mode == QueryMode::kAuto) {
-    // Plan from the snapshot's statistics, not the live table's — the
-    // scan below reads the snapshot, so the cost model must describe it.
-    const PlanChoice choice = PlanRangeQuery(
-        *snap_view, table_->columnar(), predicate, options_.build_index);
-    mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
-                                                 : QueryMode::kSeqScan;
-  }
   ++scope.local.queries_issued;
   MemoryBudget* budget = scope.ctx.budget;
-  if (mode == QueryMode::kSeqScan) {
-    // Partitioned across the pool when there is one; events are
-    // re-sorted afterwards, so collection order is irrelevant.
+  if (options.mode != QueryMode::kIndexScan) {
+    // kAuto runs the zone-map-pruned sequential scan too. Partitioned
+    // across the pool when there is one; events are re-sorted
+    // afterwards, so collection order is irrelevant.
+    Predicate predicate;
+    predicate.And(0, CmpOp::kLe, T);
+    predicate.And(1, drop ? CmpOp::kLe : CmpOp::kGe, V);
     SeqScanOptions scan_options;
     scan_options.context = &scope.ctx;
     scan_options.snapshot = &scope.snapshot;

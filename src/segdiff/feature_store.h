@@ -91,7 +91,8 @@ struct StoreOptions {
 enum class QueryMode : unsigned char {
   kSeqScan = 0,   ///< paper's "sequential scan"
   kIndexScan = 1, ///< paper's "using indexes"
-  kAuto = 2,      ///< planner picks per point/line query
+  kAuto = 2,      ///< the store chooses: today the zone-map-pruned
+                  ///< sequential scan, which never walks an index
 };
 
 /// Per-search knobs.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "query/planner.h"
 #include "query/predicate.h"
 
 namespace segdiff {
@@ -188,8 +187,8 @@ Status SegDiffIndex::WriteFeatureRow(const PairFeatures& row) {
   row_buf_.push_back(row.id.t_c);
   row_buf_.push_back(row.id.t_b);
   // Table::InsertDoubles also folds the row into the table's zone map,
-  // so the per-page stats the planner and pruned scans use stay current
-  // with every flushed feature.
+  // so the per-page stats the pruned scans use stay current with every
+  // flushed feature.
   return table->InsertDoubles(row_buf_).status();
 }
 
@@ -443,10 +442,19 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   const DatabaseSnapshot& snapshot = scope.snapshot;
   SearchStats* local = &scope.local;
 
+  // One access path for every query of the search: kAuto is the
+  // zone-map-pruned sequential scan; the indexes are walked only when
+  // the caller asks for them.
+  const bool use_index = options.mode == QueryMode::kIndexScan;
+  if (use_index && !options_.build_indexes) {
+    return Status::InvalidArgument(
+        "index scan requested but indexes were not built");
+  }
+
   // Everything that lazily mutates index state happens before any task
   // can run on a worker thread; the tasks themselves are read-only.
-  // Zone maps drive both page pruning inside the sequential scans and
-  // the kAuto cost model; a map dropped at open is rebuilt here, once.
+  // Zone maps drive page pruning inside the sequential scans; a map
+  // dropped at open is rebuilt here, once.
   SEGDIFF_RETURN_IF_ERROR(EnsureZoneMaps(kind));
 
   // Executor-level governance: every scan below checks `ctx` at page
@@ -489,21 +497,18 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     return predicate;
   };
 
-  // One executable unit: a single point/line range query with its
-  // access path already resolved.
+  // One executable unit: a single point/line range query.
   struct QueryTask {
     int k = 1;
     Table* table = nullptr;
     RangeQuery query;
-    QueryMode mode = QueryMode::kSeqScan;
   };
   std::vector<QueryTask> tasks;
   for (int k = 1; k <= 3; ++k) {
     Table* table = feature_tables_[static_cast<int>(kind)][k - 1];
-    // Row counts, page counts, and zone maps all come from the frozen
-    // view: concurrent ingest must affect neither the plan nor the
-    // result. Columnar segments are immutable, so the live directory is
-    // the snapshot directory.
+    // Row counts come from the frozen view: concurrent ingest must not
+    // affect the result. Columnar segments are immutable, so the live
+    // directory is the snapshot directory.
     const TableSnapshotView* view = snapshot.TableView(table->name());
     if (view == nullptr) {
       return Status::Internal("search snapshot does not cover table '" +
@@ -516,26 +521,11 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     if (snap_rows == 0) {
       continue;
     }
-    std::vector<RangeQuery> queries;
     for (int j = 1; j <= k; ++j) {
-      queries.push_back(RangeQuery{false, j});
+      tasks.push_back(QueryTask{k, table, RangeQuery{false, j}});
     }
     for (int j = 1; j < k; ++j) {
-      queries.push_back(RangeQuery{true, j});
-    }
-    for (const RangeQuery& query : queries) {
-      QueryMode mode = options.mode;
-      if (mode == QueryMode::kIndexScan && !options_.build_indexes) {
-        return Status::InvalidArgument(
-            "index scan requested but indexes were not built");
-      }
-      if (mode == QueryMode::kAuto) {
-        const PlanChoice choice = PlanRangeQuery(
-            *view, columnar, make_predicate(query), options_.build_indexes);
-        mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
-                                                     : QueryMode::kSeqScan;
-      }
-      tasks.push_back(QueryTask{k, table, query, mode});
+      tasks.push_back(QueryTask{k, table, RangeQuery{true, j}});
     }
   }
 
@@ -554,7 +544,7 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
       return id;
     };
     const RowCallback collect = CollectRows(out, budget, decode);
-    if (task.mode == QueryMode::kSeqScan) {
+    if (!use_index) {
       return SeqScan(*task.table, make_predicate(task.query), collect, scan,
                      scan_options);
     }

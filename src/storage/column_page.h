@@ -60,7 +60,7 @@ enum class ColumnEncoding : uint8_t {
 const char* ColumnEncodingName(ColumnEncoding encoding);
 
 /// Persistent directory entry for one segment (catalog v3). Carries the
-/// segment's zone statistics so scans prune and planners survey without
+/// segment's zone statistics so scans prune and EXPLAIN surveys without
 /// touching the segment's pages (the same stats live in the segment
 /// header; these are the catalog's copy).
 struct ColumnSegmentInfo {

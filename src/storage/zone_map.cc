@@ -62,25 +62,6 @@ size_t ZoneMap::FindZone(PageId page) const {
   return it == by_page_.end() ? kNoZone : it->second;
 }
 
-ZoneMap::ColumnRange ZoneMap::GlobalRange(size_t col) const {
-  ColumnRange range{std::numeric_limits<double>::infinity(),
-                    -std::numeric_limits<double>::infinity(), false};
-  for (size_t z = 0; z < zones_.size(); ++z) {
-    const double lo = Min(z, col);
-    const double hi = Max(z, col);
-    if (lo <= hi) {
-      if (lo < range.lo) {
-        range.lo = lo;
-      }
-      if (hi > range.hi) {
-        range.hi = hi;
-      }
-    }
-    range.has_nan = range.has_nan || HasNan(z, col);
-  }
-  return range;
-}
-
 std::string ZoneMap::Serialize() const {
   ByteWriter out;
   out.U32(kZoneMapMagic);

@@ -73,15 +73,6 @@ class ZoneMap {
     return (zones_[zone_idx].nan_mask >> col) & 1u;
   }
 
-  /// Observed range of a column across all zones. `lo > hi` when no
-  /// non-NaN value was ever observed.
-  struct ColumnRange {
-    double lo;
-    double hi;
-    bool has_nan;
-  };
-  ColumnRange GlobalRange(size_t col) const;
-
   std::string Serialize() const;
   static Result<ZoneMap> Deserialize(const std::string& blob);
 

@@ -27,7 +27,7 @@ class BPlusTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_bptree");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto pager = Pager::Open(path_, true);
     ASSERT_TRUE(pager.ok());
     pager_ = std::move(pager).value();
@@ -36,7 +36,7 @@ class BPlusTreeTest : public ::testing::Test {
   void TearDown() override {
     pool_.reset();
     pager_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   std::string path_;

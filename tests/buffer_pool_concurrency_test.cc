@@ -56,7 +56,7 @@ class BufferPoolConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_bp_concurrency");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto pager = Pager::Open(path_, /*create=*/true);
     ASSERT_TRUE(pager.ok()) << pager.status().ToString();
     pager_ = std::move(pager).value();
@@ -71,7 +71,7 @@ class BufferPoolConcurrencyTest : public ::testing::Test {
   }
   void TearDown() override {
     pager_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   std::string path_;

@@ -109,8 +109,7 @@ class ChaosTest : public ::testing::Test {
 
   void RemoveStores() {
     for (const std::string& p : {path_, golden_path_, repaired_path_}) {
-      std::remove(p.c_str());
-      std::remove(Wal::PathFor(p).c_str());
+      RemoveTestStore(p);
     }
   }
 
@@ -185,10 +184,8 @@ TEST_F(ChaosTest, SeededFaultCycleSweep) {
     SCOPED_TRACE("cycle " + std::to_string(cycle) + " mode " +
                  std::to_string(mode) + " (seed " + std::to_string(seed) +
                  ")");
-    std::remove(path_.c_str());
-    std::remove(Wal::PathFor(path_).c_str());
-    std::remove(repaired_path_.c_str());
-    std::remove(Wal::PathFor(repaired_path_).c_str());
+    RemoveTestStore(path_);
+    RemoveTestStore(repaired_path_);
     vfs.Reset();
 
     uint64_t acked = 0;

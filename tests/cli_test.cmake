@@ -84,6 +84,16 @@ endfunction()
 # error (exit 2) naming the accepted values, never a silent seq scan.
 run_cli_status(2 "--mode must be seq, index or auto"
                search --db ${DB} --t-hours 1 --v -3 --mode idx)
+# A mistyped flag, or a negative --limit/--threads, is a usage error
+# (exit 2) naming the flag, never a search run with the default.
+run_cli_status(2 "unknown flag '--t-hour'"
+               search --db ${DB} --t-hour 5 --v -3)
+run_cli_status(2 "--limit must be a non-negative integer"
+               search --db ${DB} --t-hours 1 --v -3 --limit -1)
+run_cli_status(2 "--threads must be a non-negative integer"
+               search --db ${DB} --t-hours 1 --v -3 --threads -2)
+run_cli_status(2 "unknown flag '--sensor-count'"
+               transect stats --dir ${WORK}/cli_transect --sensor-count 3)
 
 # Transect workflow: build a small deployment, search it, rebalance it
 # onto a new shard width, then damage one sensor store and walk the

@@ -177,14 +177,14 @@ class ColumnarDifferentialTest : public ::testing::Test {
   void SetUp() override {
     row_path_ = UniqueTestPath("columnar", "_row.db");
     col_path_ = UniqueTestPath("columnar", "_col.db");
-    std::remove(row_path_.c_str());
-    std::remove(col_path_.c_str());
+    RemoveTestStore(row_path_);
+    RemoveTestStore(col_path_);
   }
   void TearDown() override {
     row_db_.reset();
     col_db_.reset();
-    std::remove(row_path_.c_str());
-    std::remove(col_path_.c_str());
+    RemoveTestStore(row_path_);
+    RemoveTestStore(col_path_);
   }
 
   /// Builds the row store from `rows`, compacts it into the columnar
@@ -413,12 +413,11 @@ TEST_F(ColumnarDifferentialTest, PrunedSegmentsAccountAllRows) {
   EXPECT_EQ(stats.pages_scanned, 0u);
   EXPECT_EQ(stats.rows_matched, 0u);
 
-  // And the planner's survey agrees with what the scan just did.
+  // And EXPLAIN's survey agrees with what the scan just did.
   const ColumnarSurvey survey =
       SurveyColumnarSegments(*store, impossible.conditions());
   EXPECT_EQ(survey.segments_surviving, 0u);
-  EXPECT_EQ(survey.pages_total, store->page_count());
-  EXPECT_EQ(survey.rows_total, store->row_count());
+  EXPECT_EQ(survey.segments_total, store->segment_count());
 }
 
 TEST_F(ColumnarDifferentialTest, PointReadsMatchAcrossFormats) {

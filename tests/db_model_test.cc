@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
+
 #include "common/random.h"
 #include "query/predicate.h"
 #include "storage/db.h"
@@ -30,9 +32,9 @@ class DbModelTest : public ::testing::TestWithParam<uint64_t> {
   void SetUp() override {
     path_ = testing::TempDir() + "/segdiff_db_model_" +
             std::to_string(GetParam()) + ".db";
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
   std::string path_;
 };
 

@@ -109,7 +109,7 @@ TEST(RefineTest, EndToEndDrillDown) {
   auto data = GenerateCadSeries(gen);
   ASSERT_TRUE(data.ok());
   const std::string path = UniqueTestPath("segdiff_episodes_e2e");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   SegDiffOptions options;
   options.window_s = 4 * 3600.0;
   auto index = SegDiffIndex::Open(path, options);
@@ -135,7 +135,7 @@ TEST(RefineTest, EndToEndDrillDown) {
     EXPECT_GE(refined->t_start, pair.t_d - 1e-9);
     EXPECT_LE(refined->t_end, pair.t_a + 1e-9);
   }
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ class ExhTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_exh");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     CadGeneratorOptions gen;
     gen.num_days = 2;
     gen.cad_events_per_day = 1.0;
@@ -27,7 +27,7 @@ class ExhTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     series_ = std::move(data->series);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
 
   std::string path_;
   Series series_;
@@ -99,6 +99,39 @@ TEST_F(ExhTest, IndexAndSeqScanAgree) {
   }
 }
 
+// kAuto walks no index entry on an indexed Exh store and returns exactly
+// the kSeqScan events, in selective and dense cells alike.
+TEST_F(ExhTest, AutoModeIsThePrunedSeqScan) {
+  ExhOptions options;
+  options.window_s = 3600.0;
+  auto exh = ExhIndex::Open(path_, options);
+  ASSERT_TRUE(exh.ok());
+  ASSERT_TRUE((*exh)->IngestSeries(series_).ok());
+  SearchOptions seq;
+  seq.mode = QueryMode::kSeqScan;
+  SearchOptions automatic;
+  automatic.mode = QueryMode::kAuto;
+  for (double T : {300.0, 900.0, 3600.0}) {
+    for (double V : {-1.0, -3.0}) {
+      SCOPED_TRACE("T=" + std::to_string(T) + " V=" + std::to_string(V));
+      SearchStats seq_stats;
+      SearchStats auto_stats;
+      auto want = (*exh)->SearchDrops(T, V, seq, &seq_stats);
+      auto got = (*exh)->SearchDrops(T, V, automatic, &auto_stats);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(auto_stats.scan.index_entries_scanned, 0u);
+      EXPECT_EQ(auto_stats.scan.rows_scanned, seq_stats.scan.rows_scanned);
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t i = 0; i < want->size(); ++i) {
+        EXPECT_EQ((*got)[i].t_start, (*want)[i].t_start);
+        EXPECT_EQ((*got)[i].t_end, (*want)[i].t_end);
+        EXPECT_EQ((*got)[i].dv, (*want)[i].dv);
+      }
+    }
+  }
+}
+
 TEST_F(ExhTest, Validation) {
   ExhOptions bad;
   bad.window_s = 0;
@@ -118,7 +151,7 @@ TEST_F(ExhTest, Validation) {
   idx.mode = QueryMode::kIndexScan;
   EXPECT_TRUE(
       (*exh)->SearchDrops(600, -1.0, idx).status().IsInvalidArgument());
-  // kAuto falls back to seq scan without an index.
+  // kAuto is the sequential scan, with or without an index.
   SearchOptions automatic;
   automatic.mode = QueryMode::kAuto;
   EXPECT_TRUE((*exh)->SearchDrops(600, -1.0, automatic).ok());
@@ -135,7 +168,7 @@ TEST_F(ExhTest, ChunkedIngestMatchesOneShot) {
 
   const std::string chunked_path =
       UniqueTestPath("segdiff_exh_chunked");
-  std::remove(chunked_path.c_str());
+  RemoveTestStore(chunked_path);
   auto chunked = ExhIndex::Open(chunked_path, options);
   ASSERT_TRUE(chunked.ok());
   // Uneven chunks, including a chunk much shorter than the window.
@@ -169,7 +202,7 @@ TEST_F(ExhTest, ChunkedIngestMatchesOneShot) {
   Series stale;
   ASSERT_TRUE(stale.Append(series_[series_.size() - 1]).ok());
   EXPECT_TRUE((*chunked)->IngestSeries(stale).IsInvalidArgument());
-  std::remove(chunked_path.c_str());
+  RemoveTestStore(chunked_path);
 }
 
 TEST_F(ExhTest, ColdCachePreservesResults) {

@@ -146,9 +146,9 @@ class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("fault");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
 
   std::string path_;
 };
@@ -282,17 +282,13 @@ class CrashRecoveryTest : public ::testing::Test {
   void SetUp() override {
     path_ = UniqueTestPath("crash");
     golden_path_ = UniqueTestPath("crash", "_golden.db");
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-    std::remove(golden_path_.c_str());
-    std::remove((golden_path_ + ".wal").c_str());
+    RemoveTestStore(path_);
+    RemoveTestStore(golden_path_);
     series_ = MakeSeries(1);
   }
   void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-    std::remove(golden_path_.c_str());
-    std::remove((golden_path_ + ".wal").c_str());
+    RemoveTestStore(path_);
+    RemoveTestStore(golden_path_);
   }
 
   SegDiffOptions Options(Vfs* vfs) const {
@@ -490,7 +486,7 @@ TEST_F(CrashRecoveryTest, CrashMatrixWriteFaultSweep) {
   for (const uint64_t n : fault_points) {
     SCOPED_TRACE("device dies after write " + std::to_string(n) +
                  " (seed " + std::to_string(seed) + ")");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     vfs.Reset();
     vfs.FailAfterWrites(static_cast<int64_t>(n));
     {
@@ -521,7 +517,7 @@ TEST_F(CrashRecoveryTest, CrashMatrixSyncFaultSweep) {
 
   for (uint64_t n = 0; n < total_syncs; ++n) {
     SCOPED_TRACE("device dies after fsync " + std::to_string(n));
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     vfs.Reset();
     vfs.FailAfterSyncs(static_cast<int64_t>(n));
     {
@@ -546,7 +542,7 @@ TEST_F(CrashRecoveryTest, CrashMatrixSyncFaultSweep) {
 TEST_F(CrashRecoveryTest, CrashDuringCompactLeavesSourceIntact) {
   FaultInjectionVfs vfs;
   const std::string dest = path_ + ".compact";
-  std::remove(dest.c_str());
+  RemoveTestStore(dest);
   {
     auto store = SegDiffIndex::Open(path_, Options(&vfs));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -575,7 +571,7 @@ TEST_F(CrashRecoveryTest, CrashDuringCompactLeavesSourceIntact) {
     auto half = SegDiffIndex::Open(dest, options);
     EXPECT_FALSE(half.ok()) << "half-compacted store opened cleanly";
   }
-  std::remove(dest.c_str());
+  RemoveTestStore(dest);
 }
 
 // The row->columnar conversion inside CompactInto is the one moment the
@@ -587,7 +583,7 @@ TEST_F(CrashRecoveryTest, CrashDuringCompactLeavesSourceIntact) {
 TEST_F(CrashRecoveryTest, CrashMatrixCompactConversionSweep) {
   FaultInjectionVfs vfs;
   const std::string dest = path_ + ".columnar";
-  std::remove(dest.c_str());
+  RemoveTestStore(dest);
 
   DatabaseOptions db_options;
   db_options.vfs = &vfs;
@@ -636,7 +632,7 @@ TEST_F(CrashRecoveryTest, CrashMatrixCompactConversionSweep) {
     ASSERT_NE((*table)->columnar(), nullptr);
     EXPECT_EQ(TableRecords(converted->get(), "f"), golden_records);
   }
-  std::remove(dest.c_str());
+  RemoveTestStore(dest);
 
   const uint64_t seed =
       static_cast<uint64_t>(GetEnvInt64("SEGDIFF_FAULT_SEED", 20080325));
@@ -651,7 +647,7 @@ TEST_F(CrashRecoveryTest, CrashMatrixCompactConversionSweep) {
   for (const uint64_t n : fault_points) {
     SCOPED_TRACE("device dies after write " + std::to_string(n) +
                  " of the conversion (seed " + std::to_string(seed) + ")");
-    std::remove(dest.c_str());
+    RemoveTestStore(dest);
     vfs.Reset();
     Status compact;
     {
@@ -708,7 +704,7 @@ TEST_F(CrashRecoveryTest, CrashMatrixCompactConversionSweep) {
       }
     }
   }
-  std::remove(dest.c_str());
+  RemoveTestStore(dest);
 }
 
 // ---------------------------------------------------------------------------
@@ -922,10 +918,8 @@ class WalCrashTest : public ::testing::Test {
   void TearDown() override { RemoveStores(); }
 
   void RemoveStores() {
-    std::remove(path_.c_str());
-    std::remove(Wal::PathFor(path_).c_str());
-    std::remove(golden_path_.c_str());
-    std::remove(Wal::PathFor(golden_path_).c_str());
+    RemoveTestStore(path_);
+    RemoveTestStore(golden_path_);
   }
 
   /// WAL on with a zero group-commit window: once FlushPending() returns
@@ -1061,8 +1055,7 @@ class WalCrashTest : public ::testing::Test {
     for (const uint64_t n : fault_points) {
       SCOPED_TRACE("device dies after write " + std::to_string(n) +
                    " (seed " + std::to_string(seed) + ")");
-      std::remove(path_.c_str());
-      std::remove(Wal::PathFor(path_).c_str());
+      RemoveTestStore(path_);
       vfs.Reset();
       vfs.FailAfterWrites(static_cast<int64_t>(n));
       uint64_t acked = 0;
@@ -1090,8 +1083,7 @@ class WalCrashTest : public ::testing::Test {
     auto options = OptionsFor<Store>(nullptr);
     options.buffer_pool_pages = 8;
     const std::string copy = UniqueTestPath("walcrash", "_copy.db");
-    std::remove(copy.c_str());
-    std::remove(Wal::PathFor(copy).c_str());
+    RemoveTestStore(copy);
     const size_t kill_at = series_.size() / 2 + 7;  // mid group commit
     uint64_t acked = 0;
     {
@@ -1122,8 +1114,7 @@ class WalCrashTest : public ::testing::Test {
     ASSERT_EQ(IngestWithGroupCommits(store, series_, resumed_at),
               series_.size());
     ExpectSameTables(store, golden.get());
-    std::remove(copy.c_str());
-    std::remove(Wal::PathFor(copy).c_str());
+    RemoveTestStore(copy);
   }
 
   /// Byte-for-byte file copy (the "kill -9 disk state" capture below).
@@ -1198,8 +1189,7 @@ TEST_F(WalCrashTest, AckedGroupCommitsSurviveSyncCrashes) {
   for (const uint64_t n : fault_points) {
     SCOPED_TRACE("device dies after fsync " + std::to_string(n) + " (seed " +
                  std::to_string(seed) + ")");
-    std::remove(path_.c_str());
-    std::remove(Wal::PathFor(path_).c_str());
+    RemoveTestStore(path_);
     vfs.Reset();
     vfs.FailAfterSyncs(static_cast<int64_t>(n));
     uint64_t acked = 0;

@@ -325,7 +325,7 @@ class ScanGovernanceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_scan_governance");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto db = Database::Open(path_, DatabaseOptions{});
     ASSERT_TRUE(db.ok());
     db_ = std::move(db).value();
@@ -344,7 +344,7 @@ class ScanGovernanceTest : public ::testing::Test {
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   std::string path_;
@@ -459,7 +459,7 @@ class SegDiffGovernanceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_governance");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     CadGeneratorOptions gen;
     gen.num_days = 4;
     gen.cad_events_per_day = 2.0;
@@ -467,7 +467,7 @@ class SegDiffGovernanceTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     series_ = std::move(data->series);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
 
   Result<std::unique_ptr<SegDiffIndex>> OpenStore(
       const SegDiffOptions& options) {
@@ -655,11 +655,13 @@ TEST_F(SegDiffGovernanceTest, TransectSharesOneDeadlineAcrossSensors) {
 
   auto baseline = (*transect)->SearchDrops(3600.0, -1.0);
   EXPECT_TRUE(baseline.ok());
+  transect->reset();
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(ExhGovernanceTest, ShellAppliesDeadlineAndTruncationContract) {
   const std::string path = UniqueTestPath("segdiff_exh_governance");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   CadGeneratorOptions gen;
   gen.num_days = 1;
   auto data = GenerateCadSeries(gen);
@@ -693,7 +695,7 @@ TEST(ExhGovernanceTest, ShellAppliesDeadlineAndTruncationContract) {
   ASSERT_FALSE(no_stats.ok());
   EXPECT_TRUE(no_stats.status().IsResourceExhausted());
 
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 // ---------------------------------------------------------------------
@@ -701,7 +703,7 @@ TEST(ExhGovernanceTest, ShellAppliesDeadlineAndTruncationContract) {
 
 TEST(SqlGovernanceTest, SetStatementTimeoutIsParsedAndApplied) {
   const std::string path = UniqueTestPath("segdiff_sql_governance");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   auto db = Database::Open(path, DatabaseOptions{});
   ASSERT_TRUE(db.ok());
   sql::Engine engine(db->get());
@@ -723,12 +725,12 @@ TEST(SqlGovernanceTest, SetStatementTimeoutIsParsedAndApplied) {
   EXPECT_EQ(result->rows.size(), 1u);
 
   db->reset();
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 TEST(SqlGovernanceTest, InjectedContextCancelsStatements) {
   const std::string path = UniqueTestPath("segdiff_sql_cancel");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   auto db = Database::Open(path, DatabaseOptions{});
   ASSERT_TRUE(db.ok());
   sql::Engine engine(db->get());
@@ -756,7 +758,7 @@ TEST(SqlGovernanceTest, InjectedContextCancelsStatements) {
   EXPECT_TRUE(engine.Execute("SELECT * FROM f WHERE dv <= 0").ok());
 
   db->reset();
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 // ---------------------------------------------------------------------
@@ -766,7 +768,7 @@ class CancelFaultMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_cancel_fault");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     CadGeneratorOptions gen;
     gen.num_days = 2;
     gen.cad_events_per_day = 2.0;
@@ -774,7 +776,7 @@ class CancelFaultMatrixTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     series_ = std::move(data->series);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
 
   std::string path_;
   Series series_;
@@ -879,7 +881,7 @@ TEST_F(CancelFaultMatrixTest, ParallelGovernedSearchUnderFaults) {
   }
   const std::string exh_path =
       UniqueTestPath("segdiff_cancel_fault", "_exh.db");
-  std::remove(exh_path.c_str());
+  RemoveTestStore(exh_path);
   {
     SCOPED_TRACE("exh");
     FaultInjectionVfs fault_vfs;
@@ -893,14 +895,13 @@ TEST_F(CancelFaultMatrixTest, ParallelGovernedSearchUnderFaults) {
       return a.t_start == b.t_start && a.t_end == b.t_end && a.dv == b.dv;
     });
   }
-  std::remove(exh_path.c_str());
-  std::remove((exh_path + ".wal").c_str());
+  RemoveTestStore(exh_path);
 }
 
 TEST(FaultVfsConcurrencyTest, CountdownIsExactUnderContention) {
   FaultInjectionVfs fault_vfs;
   const std::string path = UniqueTestPath("segdiff_fault_concurrency");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   auto file = fault_vfs.OpenFile(path, /*create=*/true);
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Write(0, "0123456789abcdef", 16).ok());
@@ -927,7 +928,7 @@ TEST(FaultVfsConcurrencyTest, CountdownIsExactUnderContention) {
   EXPECT_EQ(counters.injected_failures, 300u);
 
   file->reset();
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
     // Per test, not per parameter: the three tests of one parameter run
     // as concurrent ctest jobs and must not share a store file.
     path_ = UniqueTestPath("segdiff_guarantees");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     CadGeneratorOptions gen;
     gen.seed = GetParam().seed;
     gen.num_days = 3;
@@ -57,7 +57,7 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
   }
   void TearDown() override {
     index_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   std::string path_;
@@ -134,7 +134,7 @@ TEST_P(RandomWalkGuaranteesTest, NoMissAndToleranceBothKinds) {
   ASSERT_TRUE(walk.ok());
   const std::string path = testing::TempDir() + "/segdiff_walk_" +
                            std::to_string(GetParam()) + ".db";
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   SegDiffOptions options;
   options.eps = 0.3;
   options.window_s = 3600.0;
@@ -165,7 +165,7 @@ TEST_P(RandomWalkGuaranteesTest, NoMissAndToleranceBothKinds) {
       EXPECT_TRUE(jump_violations->empty());
     }
   }
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(WalkSeeds, RandomWalkGuaranteesTest,

@@ -29,12 +29,12 @@ class IntegrationTest : public ::testing::Test {
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_integration");
     compact_path_ = UniqueTestPath("segdiff_integration_compact");
-    std::remove(path_.c_str());
-    std::remove(compact_path_.c_str());
+    RemoveTestStore(path_);
+    RemoveTestStore(compact_path_);
   }
   void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove(compact_path_.c_str());
+    RemoveTestStore(path_);
+    RemoveTestStore(compact_path_);
   }
   std::string path_;
   std::string compact_path_;

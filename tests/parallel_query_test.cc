@@ -40,7 +40,7 @@ class ParallelQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_parallel_query");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     CadGeneratorOptions gen;
     gen.num_days = 4;
     gen.cad_events_per_day = 2.0;
@@ -48,7 +48,7 @@ class ParallelQueryTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     series_ = std::move(data->series);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
 
   std::string path_;
   Series series_;
@@ -229,7 +229,7 @@ TEST(TransectConcurrentIngestTest, MatchesSerialIngest) {
 TEST(ParallelSeqScanTest, MatchesSerialSeqScan) {
   const std::string path =
       UniqueTestPath("segdiff_parallel_scan");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   auto db = Database::Open(path, DatabaseOptions{});
   ASSERT_TRUE(db.ok());
   auto schema = DoubleSchema({"dt", "dv"});
@@ -285,7 +285,7 @@ TEST(ParallelSeqScanTest, MatchesSerialSeqScan) {
     EXPECT_EQ(parallel_stats.rows_scanned, serial_stats.rows_scanned);
   }
   db->reset();
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the query layer: predicates, seq vs index scan equivalence,
-// scan statistics, and the planner.
+// and scan statistics.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,11 +16,8 @@
 #include "common/coding.h"
 #include "common/random.h"
 #include "query/executor.h"
-#include "query/planner.h"
 #include "query/predicate.h"
 #include "storage/db.h"
-#include "storage/snapshot.h"
-#include "storage/zone_map.h"
 
 namespace segdiff {
 namespace {
@@ -29,7 +26,7 @@ class QueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_query");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto db = Database::Open(path_, DatabaseOptions{});
     ASSERT_TRUE(db.ok());
     db_ = std::move(db).value();
@@ -50,7 +47,7 @@ class QueryTest : public ::testing::Test {
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   std::string path_;
@@ -182,170 +179,6 @@ TEST_F(QueryTest, IndexScanRequiresIndex) {
                         [](const char*, RecordId) { return Status::OK(); },
                         nullptr)
                   .IsInvalidArgument());
-}
-
-TEST(PlannerTest, CostModelPrefersIndexForSparseQueries) {
-  TableStatsView stats;
-  stats.row_count = 1000000;
-  stats.pages_total = 7000;
-  stats.pages_after_pruning = 7000;  // nothing prunable
-  stats.index_entry_fraction = 0.001;
-  stats.heap_fetch_fraction = 0.0005;
-  PlanChoice choice = ChooseAccessPath(stats, /*index_available=*/true);
-  EXPECT_EQ(choice.path, AccessPath::kIndexScan);
-  EXPECT_DOUBLE_EQ(choice.estimated_selectivity, 0.001);
-  // Same query, but zone maps already shrink the seq scan to a handful
-  // of pages: the sequential side wins outright.
-  stats.pages_after_pruning = 40;
-  EXPECT_EQ(ChooseAccessPath(stats, true).path, AccessPath::kSeqScan);
-}
-
-TEST(PlannerTest, CostModelPrefersSeqScanForDenseQueries) {
-  TableStatsView stats;
-  stats.row_count = 1000000;
-  stats.pages_total = 7000;
-  stats.pages_after_pruning = 6500;
-  stats.index_entry_fraction = 0.5;
-  stats.heap_fetch_fraction = 0.3;  // random fetches dominate
-  EXPECT_EQ(ChooseAccessPath(stats, true).path, AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(stats, false).path, AccessPath::kSeqScan);
-}
-
-TEST(PlannerTest, CostModelRejectsMalformedStats) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  TableStatsView stats;
-  stats.row_count = 1000;
-  stats.pages_total = 10;
-  stats.pages_after_pruning = 10;  // seq cost 10 > index cost ~4
-  stats.index_entry_fraction = 0.001;
-  stats.heap_fetch_fraction = 0.001;
-  ASSERT_EQ(ChooseAccessPath(stats, true).path, AccessPath::kIndexScan);
-  TableStatsView bad = stats;
-  bad.index_entry_fraction = nan;
-  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
-  bad = stats;
-  bad.heap_fetch_fraction = 1.5;
-  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
-  bad = stats;
-  bad.pages_after_pruning = 11;  // more surviving pages than pages
-  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
-  bad = stats;
-  bad.row_count = 0;
-  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
-}
-
-/// A frozen (dt, dv) table view for PlanRangeQuery: `rows` records
-/// appended 100 per page, with `make(i)` giving record i's columns.
-template <typename Make>
-TableSnapshotView MakeView(int rows, const Make& make) {
-  TableSnapshotView view;
-  auto zone_map = std::make_shared<ZoneMap>(2);
-  for (int i = 0; i < rows; ++i) {
-    const std::pair<double, double> cols = make(i);
-    char record[16];
-    EncodeDouble(record, cols.first);
-    EncodeDouble(record + 8, cols.second);
-    zone_map->OnAppend(RecordId{static_cast<PageId>(i / 100),
-                                static_cast<uint32_t>(i % 100)},
-                       record);
-  }
-  view.heap_meta.record_count = static_cast<uint64_t>(rows);
-  view.heap_meta.page_count = static_cast<uint64_t>((rows + 99) / 100);
-  view.zone_map = std::move(zone_map);
-  return view;
-}
-
-Predicate DtDvBelow(double t, double v) {
-  Predicate predicate;
-  predicate.And(0, CmpOp::kLe, t);
-  predicate.And(1, CmpOp::kLe, v);
-  return predicate;
-}
-
-TEST(PlannerTest, PlanRangeQueryPricesFromSnapshotStats) {
-  Rng rng(7);
-  const TableSnapshotView view = MakeView(10000, [&rng](int) {
-    return std::make_pair(rng.Uniform(0, 100), rng.Uniform(-10, 10));
-  });
-  // Selective on both key columns: a few random fetches beat reading
-  // the pages the zone maps cannot prune.
-  PlanChoice choice =
-      PlanRangeQuery(view, nullptr, DtDvBelow(1.0, -9.8), true);
-  EXPECT_EQ(choice.path, AccessPath::kIndexScan);
-  EXPECT_NEAR(choice.estimated_selectivity, 0.01, 0.005);
-  // Dense: random fetches dominate.
-  choice = PlanRangeQuery(view, nullptr, DtDvBelow(60.0, 0.0), true);
-  EXPECT_EQ(choice.path, AccessPath::kSeqScan);
-  EXPECT_NEAR(choice.estimated_selectivity, 0.6, 0.01);
-  // No index, or no statistics at all: sequential scan.
-  EXPECT_EQ(PlanRangeQuery(view, nullptr, DtDvBelow(1.0, -9.8), false).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(PlanRangeQuery(TableSnapshotView{}, nullptr, DtDvBelow(1.0, -9.8),
-                           true)
-                .path,
-            AccessPath::kSeqScan);
-  // Bounds beyond the observed range clamp to 1 and 0.
-  EXPECT_DOUBLE_EQ(
-      PlanRangeQuery(view, nullptr, DtDvBelow(500.0, 0.0), true)
-          .estimated_selectivity,
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      PlanRangeQuery(view, nullptr, DtDvBelow(-5.0, 0.0), true)
-          .estimated_selectivity,
-      0.0);
-  // A single-value column is all-or-nothing.
-  const TableSnapshotView single = MakeView(1000, [](int i) {
-    return std::make_pair(3.0, static_cast<double>(i % 7));
-  });
-  EXPECT_DOUBLE_EQ(
-      PlanRangeQuery(single, nullptr, DtDvBelow(5.0, 10.0), true)
-          .estimated_selectivity,
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      PlanRangeQuery(single, nullptr, DtDvBelow(2.0, 10.0), true)
-          .estimated_selectivity,
-      0.0);
-}
-
-TEST(PlannerTest, MalformedStatsFallBackToSeqScan) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  Rng rng(7);
-  const TableSnapshotView view = MakeView(10000, [&rng](int) {
-    return std::make_pair(rng.Uniform(0, 100), rng.Uniform(-10, 10));
-  });
-  ASSERT_EQ(PlanRangeQuery(view, nullptr, DtDvBelow(1.0, -9.8), true).path,
-            AccessPath::kIndexScan);
-  // A NaN bound must not reach the cost model as a fraction of 0, which
-  // would wrongly pick the index for what may be the whole table.
-  for (const Predicate& bad :
-       {DtDvBelow(nan, -9.8), DtDvBelow(1.0, nan), DtDvBelow(nan, nan)}) {
-    const PlanChoice choice = PlanRangeQuery(view, nullptr, bad, true);
-    EXPECT_EQ(choice.path, AccessPath::kSeqScan);
-    EXPECT_DOUBLE_EQ(choice.estimated_selectivity, 1.0);
-  }
-  // Inverted statistics: a key column with no observed (non-NaN) value
-  // has lo > hi, which is no evidence to plan on.
-  const TableSnapshotView unobserved = MakeView(10000, [&rng, nan](int) {
-    return std::make_pair(nan, rng.Uniform(-10, 10));
-  });
-  const PlanChoice inverted =
-      PlanRangeQuery(unobserved, nullptr, DtDvBelow(1.0, 0.0), true);
-  EXPECT_EQ(inverted.path, AccessPath::kSeqScan);
-  EXPECT_DOUBLE_EQ(inverted.estimated_selectivity, 1.0);
-  // The same guards on hand-built statistics.
-  TableStatsView stats;
-  stats.row_count = 1000;
-  stats.pages_total = 10;
-  stats.pages_after_pruning = 10;
-  stats.index_entry_fraction = 0.001;
-  stats.heap_fetch_fraction = 0.001;
-  ASSERT_EQ(ChooseAccessPath(stats, true).path, AccessPath::kIndexScan);
-  TableStatsView bad = stats;
-  bad.pages_after_pruning = 11;  // inverted: more survivors than pages
-  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
-  bad = stats;
-  bad.heap_fetch_fraction = nan;
-  EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
 }
 
 }  // namespace

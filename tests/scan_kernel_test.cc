@@ -142,14 +142,14 @@ class ScanDifferentialTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_scan_fuzz");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto db = Database::Open(path_, DatabaseOptions{});
     ASSERT_TRUE(db.ok());
     db_ = std::move(db).value();
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   /// Byte-identical capture: RecordId plus the raw record bytes.

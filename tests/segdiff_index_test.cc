@@ -10,6 +10,7 @@
 
 #include "segdiff/segdiff_index.h"
 #include "ts/generator.h"
+#include "ts/smoothing.h"
 
 namespace segdiff {
 namespace {
@@ -18,7 +19,7 @@ class SegDiffIndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_index");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     CadGeneratorOptions gen;
     gen.num_days = 5;
     gen.cad_events_per_day = 1.0;
@@ -26,7 +27,7 @@ class SegDiffIndexTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     series_ = std::move(data->series);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
 
   std::unique_ptr<SegDiffIndex> Build(const SegDiffOptions& options) {
     auto index = SegDiffIndex::Open(path_, options);
@@ -60,7 +61,7 @@ TEST_F(SegDiffIndexTest, SearchValidation) {
       index->SearchDrops(5 * 3600.0, -3.0).status().IsInvalidArgument());
   EXPECT_TRUE(index->SearchJumps(3600, -3.0).status().IsInvalidArgument());
   // Index scan on an index-less store is rejected.
-  std::remove(path_.c_str());
+  RemoveTestStore(path_);
   SegDiffOptions no_index;
   no_index.build_indexes = false;
   auto bare = Build(no_index);
@@ -98,6 +99,61 @@ TEST_F(SegDiffIndexTest, AllQueryModesAgree) {
       }
     }
   }
+}
+
+// kAuto is the zone-map-pruned sequential scan: on an indexed row store
+// and on its compacted columnar copy it walks no index entry and returns
+// exactly the kSeqScan pairs. The store is `segdiff_cli generate --days
+// 6` + `build --smooth --eps 0.2`; its T=0.25h V=-1 cell matches only
+// 41 index entries, the case where an index walk looks cheapest.
+TEST_F(SegDiffIndexTest, AutoModeIsThePrunedSeqScan) {
+  CadGeneratorOptions gen;
+  gen.num_days = 6;
+  auto data = GenerateCadSeries(gen);
+  ASSERT_TRUE(data.ok());
+  auto filtered = HampelFilter(data->series, HampelOptions{});
+  ASSERT_TRUE(filtered.ok());
+  LoessOptions loess;
+  loess.bandwidth_s = 1500.0;
+  loess.robust_iterations = 1;
+  auto smoothed = RobustLoess(*filtered, loess);
+  ASSERT_TRUE(smoothed.ok());
+  series_ = std::move(smoothed).value();
+  SegDiffOptions options;
+  options.eps = 0.2;
+  auto row = Build(options);
+  const std::string compact_path = UniqueTestPath("segdiff_index_compact");
+  RemoveTestStore(compact_path);
+  ASSERT_TRUE(row->Compact(compact_path).ok());
+  auto compacted = SegDiffIndex::Open(compact_path, options);
+  ASSERT_TRUE(compacted.ok());
+
+  SearchOptions seq;
+  seq.mode = QueryMode::kSeqScan;
+  SearchOptions automatic;
+  automatic.mode = QueryMode::kAuto;
+  for (SegDiffIndex* store : {row.get(), compacted->get()}) {
+    for (double T : {900.0, 3600.0, 8 * 3600.0}) {
+      for (double V : {-1.0, -6.0, 1.0}) {
+        SCOPED_TRACE("T=" + std::to_string(T) + " V=" + std::to_string(V));
+        auto search = [&](const SearchOptions& mode, SearchStats* stats) {
+          return V < 0 ? store->SearchDrops(T, V, mode, stats)
+                       : store->SearchJumps(T, V, mode, stats);
+        };
+        SearchStats seq_stats;
+        SearchStats auto_stats;
+        auto want = search(seq, &seq_stats);
+        auto got = search(automatic, &auto_stats);
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(auto_stats.scan.index_entries_scanned, 0u);
+        EXPECT_EQ(auto_stats.scan.rows_scanned, seq_stats.scan.rows_scanned);
+        EXPECT_EQ(*got, *want);
+      }
+    }
+  }
+  compacted->reset();
+  RemoveTestStore(compact_path);
 }
 
 TEST_F(SegDiffIndexTest, JumpModesAgree) {
@@ -176,7 +232,7 @@ TEST_F(SegDiffIndexTest, NoIndexStoreIsSmaller) {
   auto with_index = Build(SegDiffOptions{});
   const uint64_t with_bytes = with_index->GetSizes().file_bytes;
   with_index.reset();
-  std::remove(path_.c_str());
+  RemoveTestStore(path_);
   SegDiffOptions options;
   options.build_indexes = false;
   auto without_index = Build(options);
@@ -229,7 +285,7 @@ TEST_F(SegDiffIndexTest, LineQueryAloneDetectsMidEdgeIntersection) {
   // T = 50, V = -3 NEITHER corner passes the point query (corner 1 has
   // dv = -eps > V; corner 2 has dt = 100 > T), so only the line query
   // (edge value at T is about -5.2 <= V) can return the pair.
-  std::remove(path_.c_str());
+  RemoveTestStore(path_);
   Series ramp;
   ASSERT_TRUE(ramp.Append({0, 0}).ok());
   ASSERT_TRUE(ramp.Append({100, -10}).ok());

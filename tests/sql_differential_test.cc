@@ -113,7 +113,7 @@ RandomQuery MakeQuery(Rng* rng) {
 TEST(SqlDifferentialTest, RandomQueriesMatchReference) {
   const std::string path =
       UniqueTestPath("segdiff_sql_differential");
-  std::remove(path.c_str());
+  RemoveTestStore(path);
   auto db = Database::Open(path, DatabaseOptions{});
   ASSERT_TRUE(db.ok());
   Engine engine(db->get());
@@ -212,7 +212,7 @@ TEST(SqlDifferentialTest, RandomQueriesMatchReference) {
       EXPECT_EQ(actual, expected) << query.text;
     }
   }
-  std::remove(path.c_str());
+  RemoveTestStore(path);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_sql");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto db = Database::Open(path_, DatabaseOptions{});
     ASSERT_TRUE(db.ok());
     db_ = std::move(db).value();
@@ -135,7 +135,7 @@ class EngineTest : public ::testing::Test {
   void TearDown() override {
     engine_.reset();
     db_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
 
   QueryResult MustExecute(const std::string& statement) {

@@ -41,14 +41,14 @@ class StorageEdgeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_storage_edge");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
     auto pager = Pager::Open(path_, true);
     ASSERT_TRUE(pager.ok());
     pager_ = std::move(pager).value();
   }
   void TearDown() override {
     pager_.reset();
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
   std::string path_;
   std::unique_ptr<Pager> pager_;

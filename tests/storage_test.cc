@@ -22,9 +22,9 @@ class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = UniqueTestPath("segdiff_storage");
-    std::remove(path_.c_str());
+    RemoveTestStore(path_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { RemoveTestStore(path_); }
   std::string path_;
 };
 
@@ -424,7 +424,7 @@ TEST_F(StorageTest, MetaBlobSpillsAcrossCatalogPages) {
 
 TEST_F(StorageTest, MetaBlobsSurviveCompaction) {
   const std::string compact_path = path_ + ".compact";
-  std::remove(compact_path.c_str());
+  RemoveTestStore(compact_path);
   {
     auto db = Database::Open(path_, DatabaseOptions{});
     ASSERT_TRUE(db.ok());
@@ -444,7 +444,7 @@ TEST_F(StorageTest, MetaBlobsSurviveCompaction) {
     ASSERT_TRUE(blob.ok());
     EXPECT_EQ(*blob, "resume-here");
   }
-  std::remove(compact_path.c_str());
+  RemoveTestStore(compact_path);
 }
 
 TEST_F(StorageTest, DatabaseDuplicateTableRejected) {
@@ -566,7 +566,7 @@ TEST_F(StorageTest, InMemoryDatabase) {
 TEST_F(StorageTest, CompactReclaimsDeleteGarbage) {
   const std::string compact_path =
       UniqueTestPath("segdiff_storage_compact");
-  std::remove(compact_path.c_str());
+  RemoveTestStore(compact_path);
   {
     auto db = Database::Open(path_, DatabaseOptions{});
     auto schema = DoubleSchema({"k", "v"});
@@ -605,7 +605,7 @@ TEST_F(StorageTest, CompactReclaimsDeleteGarbage) {
     // Compacting onto a non-empty target is rejected.
     EXPECT_TRUE((*db)->CompactInto(compact_path).IsInvalidArgument());
   }
-  std::remove(compact_path.c_str());
+  RemoveTestStore(compact_path);
 }
 
 TEST_F(StorageTest, SizeStatsSeparateDataAndIndex) {

@@ -108,13 +108,13 @@ class StreamingIngestTest : public ::testing::Test {
   void SetUp() override {
     batch_path_ = UniqueTestPath("streaming", "_batch.db");
     stream_path_ = UniqueTestPath("streaming", "_stream.db");
-    std::remove(batch_path_.c_str());
-    std::remove(stream_path_.c_str());
+    RemoveTestStore(batch_path_);
+    RemoveTestStore(stream_path_);
     series_ = MakeSeries(4);
   }
   void TearDown() override {
-    std::remove(batch_path_.c_str());
-    std::remove(stream_path_.c_str());
+    RemoveTestStore(batch_path_);
+    RemoveTestStore(stream_path_);
   }
 
   std::unique_ptr<SegDiffIndex> OpenStore(const std::string& path,
@@ -337,7 +337,8 @@ TEST_F(StreamingIngestTest, IngestStateSurvivesCompaction) {
   EXPECT_EQ(compacted->num_observations(), half);
   ASSERT_TRUE(
       compacted->AppendObservation(series_[half].t, series_[half].v).ok());
-  std::remove((batch_path_ + ".compact").c_str());
+  compacted.reset();  // closing writes the log; remove the store after
+  RemoveTestStore(batch_path_ + ".compact");
 }
 
 TEST_F(StreamingIngestTest, CorruptIngestStateFailsOpenCleanly) {
@@ -384,13 +385,13 @@ class ExhStreamingTest : public ::testing::Test {
   void SetUp() override {
     batch_path_ = UniqueTestPath("exh_streaming", "_batch.db");
     stream_path_ = UniqueTestPath("exh_streaming", "_stream.db");
-    std::remove(batch_path_.c_str());
-    std::remove(stream_path_.c_str());
+    RemoveTestStore(batch_path_);
+    RemoveTestStore(stream_path_);
     series_ = MakeSeries(2);
   }
   void TearDown() override {
-    std::remove(batch_path_.c_str());
-    std::remove(stream_path_.c_str());
+    RemoveTestStore(batch_path_);
+    RemoveTestStore(stream_path_);
   }
 
   std::unique_ptr<ExhIndex> OpenStore(const std::string& path,

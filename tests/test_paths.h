@@ -1,4 +1,5 @@
-// Unique temp paths for test databases, and whole-file reads.
+// Unique temp paths for test databases, their removal, and whole-file
+// reads.
 //
 // gtest_discover_tests runs every TEST as its own ctest job, so under
 // `ctest -j` two tests of the same fixture execute concurrently in
@@ -9,6 +10,7 @@
 #ifndef SEGDIFF_TESTS_TEST_PATHS_H_
 #define SEGDIFF_TESTS_TEST_PATHS_H_
 
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -30,6 +32,13 @@ inline std::string UniqueTestPath(const std::string& stem,
     }
   }
   return testing::TempDir() + "/" + stem + "_" + name + suffix;
+}
+
+/// Deletes a test store: the database file and its write-ahead-log
+/// sidecar "<path>.wal" (Wal::PathFor). Either may be missing.
+inline void RemoveTestStore(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 /// Every byte of the file at `path` ("" when it is missing). Tests

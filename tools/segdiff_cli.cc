@@ -142,27 +142,46 @@ int Fail(const Status& status) {
 }
 
 /// Minimal --flag value parser ("--jump"-style booleans have no value).
+/// A flag no command reads, or a negative or non-numeric count, is an
+/// error(): a typo must not silently run with the default.
 class Flags {
  public:
   static constexpr const char* kBooleanFlags[] = {
       "--jump", "--no-index", "--no-wal", "--smooth", "--scrub", "--stats"};
+  static constexpr const char* kValueFlags[] = {
+      "--csv",       "--days",          "--db",          "--dir",
+      "--eps",       "--limit",         "--max-mem",     "--max-open",
+      "--mode",      "--out",           "--query",       "--rate-mbps",
+      "--seed",      "--sensor",        "--sensors",     "--shard-sensors",
+      "--start-day", "--t-hours",       "--threads",     "--timeout-ms",
+      "--v",         "--wal-window-ms", "--window-hours"};
+  static constexpr const char* kCountFlags[] = {"--limit", "--threads"};
 
   Flags(int argc, char** argv, int start) {
     for (int i = start; i < argc; ++i) {
       std::string key = argv[i];
-      bool boolean = false;
-      for (const char* name : kBooleanFlags) {
-        boolean |= key == name;
-      }
-      if (boolean) {
+      if (IsOneOf(key, kBooleanFlags)) {
         values_[key] = "1";
-      } else if (i + 1 < argc) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
+        continue;
+      }
+      if (!IsOneOf(key, kValueFlags)) {
+        SetError("unknown flag '" + key + "'");
+      }
+      values_[key] = i + 1 < argc ? argv[++i] : "";
+      if (IsOneOf(key, kCountFlags)) {
+        const std::string& value = values_[key];
+        char* end = nullptr;
+        const long count = std::strtol(value.c_str(), &end, 10);
+        if (value.empty() || *end != '\0' || count < 0) {
+          SetError(key + " must be a non-negative integer (got '" + value +
+                   "')");
+        }
       }
     }
   }
+
+  /// Empty when every flag parsed; otherwise names the first bad flag.
+  const std::string& error() const { return error_; }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values_.find(key);
@@ -185,8 +204,27 @@ class Flags {
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
+  template <size_t N>
+  static bool IsOneOf(const std::string& key, const char* const (&names)[N]) {
+    for (const char* name : names) {
+      if (key == name) return true;
+    }
+    return false;
+  }
+  void SetError(const std::string& message) {
+    if (error_.empty()) error_ = message;
+  }
+
   std::map<std::string, std::string> values_;
+  std::string error_;
 };
+
+/// Exit code 2 with the parse error, or 0 when `flags` parsed cleanly.
+int FlagError(const Flags& flags) {
+  if (flags.error().empty()) return 0;
+  std::fprintf(stderr, "error: %s\n", flags.error().c_str());
+  return 2;
+}
 
 Result<Series> Smooth(const Series& series) {
   SEGDIFF_ASSIGN_OR_RETURN(Series filtered,
@@ -1023,6 +1061,7 @@ int CmdTransect(int argc, char** argv) {
   }
   const std::string action = argv[2];
   const Flags flags(argc, argv, 3);
+  if (int code = FlagError(flags)) return code;
   if (action == "build") return CmdTransectBuild(flags);
   if (action == "search") return CmdTransectSearch(flags);
   if (action == "stats") return CmdTransectStats(flags);
@@ -1145,7 +1184,9 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
+  if (command == "transect") return CmdTransect(argc, argv);
   const Flags flags(argc, argv, 2);
+  if (int code = FlagError(flags)) return code;
   if (command == "generate") return CmdGenerate(flags);
   if (command == "build") return CmdBuild(flags);
   if (command == "append") return CmdAppend(flags);
@@ -1156,7 +1197,6 @@ int Run(int argc, char** argv) {
   if (command == "compact") return CmdCompact(flags);
   if (command == "repair") return CmdRepair(flags);
   if (command == "verify") return CmdVerify(flags);
-  if (command == "transect") return CmdTransect(argc, argv);
   return Usage();
 }
 
