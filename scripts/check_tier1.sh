@@ -22,7 +22,9 @@
 #      the scan-kernel and columnar suites (the selection-bitmap compare
 #      over its fixed-size batch buffers, and the column decoders), and
 #      the zone-map and query suites (ZoneMap::Deserialize decodes
-#      catalog bytes, and zone pruning is what kAuto's scan relies on)
+#      catalog bytes, and zone pruning is what kAuto's scan relies on),
+#      the integration and SQL suites (the compact → columnar → index-free
+#      workflow end to end, and the SQL engine's access-path choice)
 #      plus the `faults` and `governance` ctest groups (crash-recovery,
 #      fault injection, and cancellation — the error paths that exercise
 #      partially-initialized and partially-released state)
@@ -112,7 +114,28 @@ fi
 # The compacted store must also pass a full checksum scrub: compressed
 # payloads ride the same per-page CRC32C trailers as row pages.
 ./build/tools/segdiff_cli verify --db "${CMP_WORK}/col.db" --scrub
-echo "compression smoke: columnar ratio ${BEST_RATIO}x, scrub clean"
+# Columnar tables carry no B+-tree: the compacted store reports zero
+# index bytes, refuses an explicit index scan with a clean error, and
+# serves the pruned sequential scan (--mode auto).
+if ! echo "${CMP_STATS}" | grep -Eq '^  index bytes: +0$'; then
+  echo "compression smoke: compacted store still reports index bytes"
+  exit 1
+fi
+CMP_RC=0
+./build/tools/segdiff_cli search --db "${CMP_WORK}/col.db" --t-hours 1 \
+  --v -3 --mode index > "${CMP_WORK}/index.out" 2>&1 || CMP_RC=$?
+if [[ "${CMP_RC}" == 0 ]] || ! grep -q \
+    "index scan requested but indexes were not built" "${CMP_WORK}/index.out"
+then
+  echo "compression smoke: --mode index on the compacted store exited" \
+       "${CMP_RC} without the clean refusal:"
+  cat "${CMP_WORK}/index.out"
+  exit 1
+fi
+./build/tools/segdiff_cli search --db "${CMP_WORK}/col.db" --t-hours 1 \
+  --v -3 --mode auto > /dev/null
+echo "compression smoke: columnar ratio ${BEST_RATIO}x, scrub clean," \
+     "index-free (--mode index refused, --mode auto served)"
 rm -rf "${CMP_WORK}"
 
 echo "== tier-1: governance smoke (concurrent 50ms-deadline searches) =="
@@ -190,10 +213,10 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
     streaming_ingest_test storage_test segdiff_index_test exh_naive_test \
     transect_shard_test scan_kernel_test columnar_test zone_map_test \
     query_test fault_injection_test chaos_test transect_chaos_test \
-    governance_test
+    governance_test integration_test sql_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|TransectShardTest|ScanKernelTest|ScanDifferentialTest|ColumnarDifferentialTest|ColumnEncodingTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|^QueryTest|PredicateTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|TransectShardTest|ScanKernelTest|ScanDifferentialTest|ColumnarDifferentialTest|ColumnEncodingTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|^QueryTest|PredicateTest|IntegrationTest|EngineTest|LexerTest|ParserTest|ParserFuzzTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -464,6 +464,10 @@ Status IndexScan(const Table& table, const IndexScanSpec& spec,
   if (spec.index == nullptr) {
     return Status::InvalidArgument("index scan without index");
   }
+  if (table.columnar() != nullptr) {
+    return Status::NotSupported("index scan over columnar table " +
+                                table.name());
+  }
   ScanStats local;
   std::vector<char> record(table.schema().RowBytes());
   const PoolSnapshot* pool_snap =

@@ -124,7 +124,9 @@ Status ParallelSeqScan(const Table& table, const Predicate& predicate,
 /// `key_filter` fetches the heap record, applies `residual`, and emits.
 /// MySQL-style secondary-index access: every candidate costs one heap
 /// fetch, which is why dense queries favour the sequential scan
-/// (paper Figures 10-11).
+/// (paper Figures 10-11). Row-format tables only: NotSupported on a
+/// table that holds columnar segments (a store compacted before
+/// columnar tables dropped their indexes still carries such B+-trees).
 struct IndexScanSpec {
   const BPlusTree* index = nullptr;
   IndexKey lower;

@@ -213,15 +213,16 @@ class FeatureStore {
   /// `destination_path` (Database::CompactInto). Prefer this over
   /// db()->CompactInto(): it guarantees the compacted store's ingest
   /// blob is consistent with its tables, so it reopens as a valid
-  /// resume point.
+  /// resume point. The copy is columnar and index-free: it reopens
+  /// index-less, and kIndexScan on it is refused.
   Status Compact(const std::string& destination_path);
 
   /// Salvages everything still readable into a fresh store at
   /// `destination_path` (Database::Repair): corrupt pages and segments
-  /// are skipped and accounted in `report`, surviving rows are copied
-  /// and indexes rebuilt. The source store is not modified. The copied
-  /// ingest blob reflects the current pipeline state, so the repaired
-  /// store reopens as a valid resume point.
+  /// are skipped and accounted in `report`, and surviving rows are
+  /// copied as Compact copies them. The source store is not modified.
+  /// The copied ingest blob reflects the current pipeline state, so the
+  /// repaired store reopens as a valid resume point.
   Status Repair(const std::string& destination_path, RepairReport* report);
 
   /// Observations consumed over the store's lifetime.

@@ -288,13 +288,14 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt,
 
   // Rule-based access path: use an index whose leading column has an
   // upper bound in the WHERE clause (the shape of the paper's range
-  // queries); otherwise scan.
+  // queries); otherwise scan. A columnar table always scans: its only
+  // indexes are leftovers from older compactions (IndexScan refuses).
   const TableIndex* chosen = nullptr;
   ColumnBounds chosen_bounds;
   for (const TableIndex& index : table->indexes()) {
     const ColumnBounds bounds =
         BoundsFor(stmt.where, index.key_columns[0], schema);
-    if (bounds.any && bounds.upper < kInf) {
+    if (table->columnar() == nullptr && bounds.any && bounds.upper < kInf) {
       chosen = &index;
       chosen_bounds = bounds;
       break;

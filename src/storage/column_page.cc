@@ -407,33 +407,6 @@ void ColumnCursor::Decode(size_t n, double* out) {
   }
 }
 
-void ColumnCursor::Skip(size_t n) {
-  if (n == 0) {
-    return;
-  }
-  switch (dir_->encoding) {
-    case ColumnEncoding::kRaw:
-      pos_ += n;
-      return;
-    case ColumnEncoding::kForPacked:
-      bit_pos_ += n * dir_->bit_width;
-      pos_ += n;
-      return;
-    case ColumnEncoding::kDeltaPacked:
-    case ColumnEncoding::kXor: {
-      // Both encodings carry running state, so skipping still walks the
-      // stream — but into a small scratch, touching no caller memory.
-      double scratch[128];
-      while (n > 0) {
-        const size_t step = std::min(n, sizeof(scratch) / sizeof(double));
-        Decode(step, scratch);
-        n -= step;
-      }
-      return;
-    }
-  }
-}
-
 void ColumnCursor::DecodePacked(size_t n, double* out) {
   const unsigned w = dir_->bit_width;
   const unsigned s = dir_->scale_log10;
@@ -650,30 +623,12 @@ Status ColumnSegmentHandle::DecodeColumn(size_t c, double* out) {
   return Status::OK();
 }
 
-Status ColumnSegmentHandle::ReadRow(size_t row, char* record) {
-  if (row >= rows_) {
-    return Status::NotFound("columnar row out of range");
-  }
-  for (size_t c = 0; c < dir_.size(); ++c) {
-    SEGDIFF_ASSIGN_OR_RETURN(ColumnCursor cursor, OpenColumn(c));
-    cursor.Skip(row);
-    double value = 0.0;
-    cursor.Decode(1, &value);
-    EncodeDouble(record + c * 8, value);
-  }
-  return Status::OK();
-}
-
 ColumnStore::ColumnStore(BufferPool* pool, size_t num_columns)
     : pool_(pool), num_columns_(num_columns) {}
 
 ColumnStore::ColumnStore(BufferPool* pool, size_t num_columns,
                          ColumnStoreMeta meta)
-    : pool_(pool), num_columns_(num_columns), meta_(std::move(meta)) {
-  for (size_t i = 0; i < meta_.segments.size(); ++i) {
-    by_first_page_[meta_.segments[i].first_page] = i;
-  }
-}
+    : pool_(pool), num_columns_(num_columns), meta_(std::move(meta)) {}
 
 Status ColumnStore::AppendSegment(const char* records, size_t rows) {
   if (rows == 0 || rows > kMaxSegmentRows) {
@@ -722,7 +677,6 @@ Status ColumnStore::AppendSegment(const char* records, size_t rows) {
     ++info.pages;
   }
 
-  by_first_page_[info.first_page] = meta_.segments.size();
   meta_.segments.push_back(info);
   meta_.row_count += rows;
   meta_.page_count += info.pages;
@@ -735,46 +689,6 @@ Result<ColumnSegmentHandle> ColumnStore::OpenSegment(size_t idx) const {
     return Status::InvalidArgument("columnar segment index out of range");
   }
   return ColumnSegmentHandle::Open(pool_, meta_.segments[idx]);
-}
-
-size_t ColumnStore::FindSegment(PageId first_page) const {
-  auto it = by_first_page_.find(first_page);
-  return it == by_first_page_.end() ? npos : it->second;
-}
-
-Status ColumnStore::ReadRow(RecordId id, char* record) const {
-  const size_t idx = FindSegment(id.page);
-  if (idx == npos) {
-    return Status::NotFound("record id does not address a columnar segment");
-  }
-  const ColumnSegmentInfo& info = meta_.segments[idx];
-  if (id.slot >= info.rows) {
-    return Status::NotFound("columnar row out of range");
-  }
-  std::shared_ptr<DecodedSegment> seg;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_ != nullptr && cache_->first_page == id.page) {
-      seg = cache_;
-    }
-  }
-  if (seg == nullptr) {
-    SEGDIFF_ASSIGN_OR_RETURN(ColumnSegmentHandle handle, OpenSegment(idx));
-    seg = std::make_shared<DecodedSegment>();
-    seg->first_page = id.page;
-    seg->rows = info.rows;
-    seg->values.resize(num_columns_ * info.rows);
-    for (size_t c = 0; c < num_columns_; ++c) {
-      SEGDIFF_RETURN_IF_ERROR(
-          handle.DecodeColumn(c, seg->values.data() + c * info.rows));
-    }
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    cache_ = seg;
-  }
-  for (size_t c = 0; c < num_columns_; ++c) {
-    EncodeDouble(record + c * 8, seg->values[c * info.rows + id.slot]);
-  }
-  return Status::OK();
 }
 
 }  // namespace segdiff

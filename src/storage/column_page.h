@@ -37,10 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -98,8 +95,8 @@ struct ColumnDirEntry {
 std::string EncodeColumnSegment(const char* records, size_t num_columns,
                                 size_t rows);
 
-/// Sequential decoder over one encoded column. Decode/Skip advance the
-/// cursor; total Decode+Skip counts must not exceed the segment's rows.
+/// Sequential decoder over one encoded column. Decode advances the
+/// cursor; total Decode counts must not exceed the segment's rows.
 /// Decoding loads whole 64-bit words, so `payload` must stay readable
 /// for 8 bytes past the column's `payload_bytes`.
 class ColumnCursor {
@@ -109,11 +106,6 @@ class ColumnCursor {
 
   /// Decodes the next `n` values into `out`.
   void Decode(size_t n, double* out);
-
-  /// Advances past `n` values without materializing them. O(1) for
-  /// kForPacked and kRaw; O(n) walk for kDeltaPacked and kXor (both
-  /// carry running state).
-  void Skip(size_t n);
 
   size_t position() const { return pos_; }
 
@@ -153,10 +145,6 @@ class ColumnSegmentHandle {
   /// Decodes all rows of column `c` into `out` (rows() doubles).
   Status DecodeColumn(size_t c, double* out);
 
-  /// Materializes one row into `record` (num_columns() doubles). Point
-  /// reads; scans should use cursors instead.
-  Status ReadRow(size_t row, char* record);
-
  private:
   ColumnSegmentHandle() = default;
 
@@ -176,16 +164,15 @@ class ColumnSegmentHandle {
   std::vector<std::string> col_scratch_;  ///< per-column assembled payloads
 };
 
-/// A table's columnar portion: an ordered list of immutable segments.
-/// Row addressing: RecordId{segment.first_page, row index within the
-/// segment} — stable across reopen because the directory is persisted.
+/// A table's columnar portion: an ordered list of immutable segments,
+/// read only by scans (no index addresses a columnar row). Scans report
+/// a row as RecordId{segment.first_page, row index within the segment}.
 class ColumnStore {
  public:
   /// Upper bound on rows per segment. Large enough to amortize headers
   /// and give the bit-packed encodings long runs; small enough that one
-  /// decoded segment (all columns) stays cache-friendly and a point
-  /// read's sequential decode stays cheap. Must stay below 2^20 so the
-  /// row index fits RecordId::Pack's slot field.
+  /// decoded segment (all columns) stays cache-friendly. Must stay below
+  /// 2^20 so the row index fits RecordId::Pack's slot field.
   static constexpr size_t kMaxSegmentRows = 4096;
 
   /// Fresh, empty columnar portion.
@@ -211,28 +198,10 @@ class ColumnStore {
   /// Opens segment `idx` for scanning (fetches + verifies its pages).
   Result<ColumnSegmentHandle> OpenSegment(size_t idx) const;
 
-  /// Segment index owning `first_page`, or npos.
-  static constexpr size_t npos = static_cast<size_t>(-1);
-  size_t FindSegment(PageId first_page) const;
-
-  /// Point read of the row addressed by `id` into `record`
-  /// (num_columns() doubles). Caches the last decoded segment, so index
-  /// scans that fetch several rows of one segment pay one decode.
-  Status ReadRow(RecordId id, char* record) const;
-
  private:
-  struct DecodedSegment {
-    PageId first_page = kInvalidPageId;
-    size_t rows = 0;
-    std::vector<double> values;  ///< columns x rows, column-major
-  };
-
   BufferPool* pool_;
   size_t num_columns_;
   ColumnStoreMeta meta_;
-  std::unordered_map<PageId, size_t> by_first_page_;
-  mutable std::mutex cache_mu_;
-  mutable std::shared_ptr<DecodedSegment> cache_;
 };
 
 }  // namespace segdiff

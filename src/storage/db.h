@@ -84,7 +84,9 @@ struct DatabaseOptions {
 struct CompactOptions {
   /// Convert eligible tables (all-double, at most ZoneMap::kMaxColumns
   /// columns) to compressed columnar segments while compacting. Tables
-  /// with unsupported schemas stay on the row path regardless.
+  /// with unsupported schemas stay on the row path regardless. Converted
+  /// tables carry no B+-tree indexes (DESIGN §12); only tables that stay
+  /// in row format keep theirs.
   bool columnar = true;
 };
 
@@ -214,24 +216,24 @@ class Database {
   std::vector<WalRecord> TakeRecoveredOps();
   bool HasRecoveredOps() const { return !recovered_ops_.empty(); }
 
-  /// Rewrites every table and index into a fresh database file at
+  /// Rewrites every table into a fresh database file at
   /// `destination_path` (which must not exist), reclaiming the garbage
   /// pages left behind by DeleteWhere rewrites and abandoned extents.
   /// With options.columnar (the default), eligible tables are converted
   /// to compressed columnar segments on the way — the row→columnar
-  /// lifecycle step. This database is not modified. Catalog blobs are
-  /// copied from the in-memory map, which owning engines only refresh
-  /// when they persist their state — callers holding a
-  /// SegDiffIndex/ExhIndex must compact through the index's Compact()
-  /// (or Checkpoint first) so the copied ingest blob is consistent with
-  /// the copied tables.
+  /// lifecycle step, which drops their indexes. This database is not
+  /// modified. Catalog blobs are copied from the in-memory map, which
+  /// owning engines only refresh when they persist their state — callers
+  /// holding a SegDiffIndex/ExhIndex must compact through the index's
+  /// Compact() (or Checkpoint first) so the copied ingest blob is
+  /// consistent with the copied tables.
   Status CompactInto(const std::string& destination_path,
                      const CompactOptions& options = CompactOptions());
 
   /// Best-effort rebuild into a fresh store at `destination_path` (which
   /// must not exist): every row still readable — skipping quarantined
-  /// heap pages and corrupt columnar segments — is copied and indexes
-  /// are rebuilt from the survivors; `report` (required) records what
+  /// heap pages and corrupt columnar segments — is copied like
+  /// CompactInto with default options; `report` (required) records what
   /// was salvaged and what was lost. WAL recovery happened at Open, so
   /// acknowledged rows the data file lost are already back before the
   /// copy starts. This database is not modified; after a successful

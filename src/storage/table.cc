@@ -215,7 +215,7 @@ Status Table::AppendColumnarSegment(const char* records, size_t rows) {
   }
   if (!indexes_.empty()) {
     return Status::InvalidArgument(
-        "columnar segments must be appended before indexes exist");
+        "columnar segments cannot be added to an indexed table");
   }
   if (columnar_ == nullptr) {
     columnar_ =
@@ -308,18 +308,8 @@ Status Table::EnsureZoneMap() {
   return Status::OK();
 }
 
-Result<Row> Table::ReadRow(RecordId id) const {
-  std::vector<char> buf(schema_.RowBytes());
-  SEGDIFF_RETURN_IF_ERROR(ReadRecord(id, buf.data()));
-  return DecodeRow(schema_, buf.data());
-}
-
 Status Table::ReadRecord(RecordId id, char* buf,
                          const DatabaseSnapshot* snapshot) const {
-  if (columnar_ != nullptr && columnar_->FindSegment(id.page) !=
-                                  ColumnStore::npos) {
-    return columnar_->ReadRow(id, buf);
-  }
   return heap_->ReadRecord(
       id, buf, snapshot == nullptr ? nullptr : snapshot->pool_snapshot());
 }
@@ -327,6 +317,11 @@ Status Table::ReadRecord(RecordId id, char* buf,
 Result<BPlusTree*> Table::CreateIndex(
     const std::string& index_name,
     const std::vector<std::string>& columns) {
+  if (columnar_ != nullptr) {
+    return Status::NotSupported("table " + name_ +
+                                " holds columnar segments, which carry no "
+                                "indexes");
+  }
   if (columns.empty() ||
       columns.size() > static_cast<size_t>(kMaxIndexArity)) {
     return Status::InvalidArgument("index needs 1..4 key columns");
@@ -350,9 +345,8 @@ Result<BPlusTree*> Table::CreateIndex(
       BPlusTree::Create(pool_, static_cast<int>(columns.size())));
   index.tree = std::make_unique<BPlusTree>(std::move(tree));
 
-  // Back-fill from existing rows — the full table scan, so columnar
-  // rows (with their {segment, row} record ids) are indexed too.
-  Status backfill = Scan(
+  // Back-fill from the existing heap rows.
+  Status backfill = heap_->Scan(
       [&](const char* record, RecordId rid, bool* keep_going) -> Status {
         *keep_going = true;
         SEGDIFF_ASSIGN_OR_RETURN(IndexKey key, MakeKey(index, record, rid));

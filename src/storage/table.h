@@ -1,4 +1,5 @@
-// Table: a schema + heap file + any number of B+-tree secondary indexes.
+// Table: a schema + heap file + any number of B+-tree secondary indexes
+// (row-format tables only; a table with columnar segments has none).
 
 #ifndef SEGDIFF_STORAGE_TABLE_H_
 #define SEGDIFF_STORAGE_TABLE_H_
@@ -32,7 +33,9 @@ struct TableIndex {
 /// holding the oldest rows) followed by the append-only row heap. Insert
 /// maintains every index and always lands in the heap; scans stream the
 /// columnar segments first, then the heap, so visit order is insertion
-/// order regardless of format.
+/// order regardless of format. Indexes and columnar segments exclude
+/// each other: an index scan over columnar rows loses to the pruned
+/// sequential scan (DESIGN §12), so no index ever addresses one.
 class Table {
  public:
   /// Creates a fresh table (allocates its heap file).
@@ -114,12 +117,8 @@ class Table {
   /// errors (I/O) still fail the scan.
   Status ScanSalvage(const HeapFile::ScanFn& fn, SalvageStats* stats) const;
 
-  /// Materializes the row at `id`.
-  Result<Row> ReadRow(RecordId id) const;
-
-  /// Copies the encoded record at `id` into `buf` (schema().RowBytes()).
-  /// Resolves both heap record ids and columnar ids ({segment first
-  /// page, row index}), so index scans work across both formats.
+  /// Copies the encoded heap record at `id` into `buf`
+  /// (schema().RowBytes()): the index scan's row fetch.
   Status ReadRecord(RecordId id, char* buf,
                     const DatabaseSnapshot* snapshot = nullptr) const;
 
@@ -147,7 +146,8 @@ class Table {
   FormatBreakdown GetFormatBreakdown() const;
 
   /// Adds an empty index over the named columns (all kDouble, at most
-  /// kMaxIndexArity) and back-fills it from existing rows.
+  /// kMaxIndexArity) and back-fills it from existing rows. NotSupported
+  /// on a table that holds columnar segments.
   Result<BPlusTree*> CreateIndex(const std::string& index_name,
                                  const std::vector<std::string>& columns);
 

@@ -84,16 +84,37 @@ endfunction()
 # error (exit 2) naming the accepted values, never a silent seq scan.
 run_cli_status(2 "--mode must be seq, index or auto"
                search --db ${DB} --t-hours 1 --v -3 --mode idx)
-# A mistyped flag, or a negative --limit/--threads, is a usage error
-# (exit 2) naming the flag, never a search run with the default.
+# A mistyped flag, a count that is not a non-negative integer, or a
+# number with trailing junk is a usage error (exit 2) naming the flag,
+# never a search run with the default or with the digits before the junk.
 run_cli_status(2 "unknown flag '--t-hour'"
                search --db ${DB} --t-hour 5 --v -3)
 run_cli_status(2 "--limit must be a non-negative integer"
                search --db ${DB} --t-hours 1 --v -3 --limit -1)
 run_cli_status(2 "--threads must be a non-negative integer"
                search --db ${DB} --t-hours 1 --v -3 --threads -2)
+run_cli_status(2 "--timeout-ms must be a non-negative integer"
+               search --db ${DB} --t-hours 1 --v -3 --timeout-ms abc)
+run_cli_status(2 "--max-mem must be a non-negative integer"
+               search --db ${DB} --t-hours 1 --v -3 --max-mem -1)
+run_cli_status(2 "--t-hours must be a finite number"
+               search --db ${DB} --t-hours 1x --v -3)
+run_cli_status(2 "--v must be a finite number"
+               search --db ${DB} --t-hours 1 --v nan)
+run_cli_status(2 "--eps must be a finite number"
+               build --csv ${CSV} --db ${WORK}/unused.db --eps 0.2.1)
+run_cli_status(2 "--days must be a non-negative integer"
+               generate --out ${WORK}/unused.csv --days 5d)
+run_cli_status(2 "--wal-window-ms must be a non-negative integer"
+               append --csv ${CSV2} --db ${DB} --wal-window-ms abc)
 run_cli_status(2 "unknown flag '--sensor-count'"
                transect stats --dir ${WORK}/cli_transect --sensor-count 3)
+
+# The compacted store's feature tables are columnar and carry no B+-tree:
+# an explicit index scan is refused cleanly, stats report no index bytes.
+run_cli_status(1 "index scan requested but indexes were not built"
+               search --db ${COMPACT} --t-hours 1 --v -3 --mode index)
+run_cli("index bytes: +0\n" stats --db ${COMPACT})
 
 # Transect workflow: build a small deployment, search it, rebalance it
 # onto a new shard width, then damage one sensor store and walk the

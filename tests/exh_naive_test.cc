@@ -132,6 +132,44 @@ TEST_F(ExhTest, AutoModeIsThePrunedSeqScan) {
   }
 }
 
+// A compacted Exh store is columnar and index-free: it reports no index
+// bytes, refuses kIndexScan and answers kAuto like its indexed source.
+TEST_F(ExhTest, CompactedStoreCarriesNoIndex) {
+  ExhOptions options;
+  options.window_s = 3600.0;
+  auto exh = ExhIndex::Open(path_, options);
+  ASSERT_TRUE(exh.ok());
+  ASSERT_TRUE((*exh)->IngestSeries(series_).ok());
+  ASSERT_GT((*exh)->GetSizes().index_bytes, 0u);
+  const std::string compact_path = UniqueTestPath("segdiff_exh_compact");
+  RemoveTestStore(compact_path);
+  ASSERT_TRUE((*exh)->Compact(compact_path).ok());
+  {
+    auto compacted = ExhIndex::Open(compact_path, options);
+    ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+    EXPECT_EQ((*compacted)->GetSizes().index_bytes, 0u);
+    EXPECT_EQ((*compacted)->GetSizes().feature_rows,
+              (*exh)->GetSizes().feature_rows);
+    SearchOptions idx;
+    idx.mode = QueryMode::kIndexScan;
+    EXPECT_TRUE((*compacted)
+                    ->SearchDrops(1800, -2.0, idx)
+                    .status()
+                    .IsInvalidArgument());
+    auto want = (*exh)->SearchDrops(1800, -2.0);
+    auto got = (*compacted)->SearchDrops(1800, -2.0);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), want->size());
+    for (size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*got)[i].t_start, (*want)[i].t_start);
+      EXPECT_EQ((*got)[i].t_end, (*want)[i].t_end);
+      EXPECT_EQ((*got)[i].dv, (*want)[i].dv);
+    }
+  }
+  RemoveTestStore(compact_path);
+}
+
 TEST_F(ExhTest, Validation) {
   ExhOptions bad;
   bad.window_s = 0;

@@ -133,15 +133,20 @@ TEST_F(IntegrationTest, FullWorkflow) {
     EXPECT_EQ((*drops_reopened)[i], (*drops_seq)[i]);
   }
 
-  // 7. Compaction shrinks the file (extent slack) and preserves answers.
+  // 7. Compaction shrinks the file (extent slack, and the B+-trees the
+  //    columnar copy no longer carries) and preserves answers. The
+  //    compacted store has no index to scan.
   ASSERT_TRUE((*reopened)->Compact(compact_path_).ok());
   auto compacted = SegDiffIndex::Open(compact_path_, options);
   ASSERT_TRUE(compacted.ok());
   EXPECT_LE((*compacted)->GetSizes().file_bytes,
             (*reopened)->GetSizes().file_bytes);
-  auto drops_compacted = (*compacted)->SearchDrops(T, V, idx);
+  EXPECT_EQ((*compacted)->GetSizes().index_bytes, 0u);
+  EXPECT_TRUE(
+      (*compacted)->SearchDrops(T, V, idx).status().IsInvalidArgument());
+  auto drops_compacted = (*compacted)->SearchDrops(T, V, seq);
   ASSERT_TRUE(drops_compacted.ok());
-  EXPECT_EQ(drops_compacted->size(), drops_seq->size());
+  EXPECT_EQ(*drops_compacted, *drops_seq);
 
   // 8. SQL introspection agrees with the library's own accounting.
   sql::Engine engine((*compacted)->db());
@@ -158,11 +163,18 @@ TEST_F(IntegrationTest, FullWorkflow) {
     feature_rows += static_cast<uint64_t>(one->rows[0][0].i);
   }
   EXPECT_EQ(feature_rows, (*compacted)->GetSizes().feature_rows);
-  // The paper's point query, written as SQL against the store.
-  auto sql_drops = engine.Execute(
-      "SELECT COUNT(*) FROM drop1 WHERE dt1 <= 3600 AND dv1 <= -3");
+  // The paper's point query, written as SQL against both stores: the
+  // row store walks its index, the columnar copy scans, same count.
+  const char* point_query =
+      "SELECT COUNT(*) FROM drop1 WHERE dt1 <= 3600 AND dv1 <= -3";
+  auto sql_drops = engine.Execute(point_query);
   ASSERT_TRUE(sql_drops.ok());
-  EXPECT_NE(sql_drops->access_path.find("index_scan"), std::string::npos);
+  EXPECT_EQ(sql_drops->access_path, "seq_scan");
+  sql::Engine row_engine((*reopened)->db());
+  auto row_drops = row_engine.Execute(point_query);
+  ASSERT_TRUE(row_drops.ok());
+  EXPECT_NE(row_drops->access_path.find("index_scan"), std::string::npos);
+  EXPECT_EQ(sql_drops->rows[0][0].i, row_drops->rows[0][0].i);
 }
 
 TEST_F(IntegrationTest, JumpWorkflowAndWindowBounds) {

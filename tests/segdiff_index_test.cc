@@ -241,6 +241,49 @@ TEST_F(SegDiffIndexTest, NoIndexStoreIsSmaller) {
   EXPECT_LT(sizes.file_bytes, with_bytes);
 }
 
+// Compaction and repair write columnar feature tables, which carry no
+// B+-tree: the copies reopen index-less (whatever the caller asks for),
+// refuse kIndexScan, and answer kAuto exactly like the indexed source.
+TEST_F(SegDiffIndexTest, CompactedAndRepairedStoresCarryNoIndexes) {
+  auto row = Build(SegDiffOptions{});
+  const SegDiffSizes row_sizes = row->GetSizes();
+  ASSERT_GT(row_sizes.index_bytes, 0u);
+  const std::string compact_path = UniqueTestPath("segdiff_index_compact");
+  const std::string repair_path = UniqueTestPath("segdiff_index_repair");
+  RemoveTestStore(compact_path);
+  RemoveTestStore(repair_path);
+  ASSERT_TRUE(row->Compact(compact_path).ok());
+  RepairReport report;
+  ASSERT_TRUE(row->Repair(repair_path, &report).ok());
+  EXPECT_EQ(report.rows_lost, 0u);
+
+  SearchOptions idx;
+  idx.mode = QueryMode::kIndexScan;
+  for (const std::string& path : {compact_path, repair_path}) {
+    SCOPED_TRACE(path);
+    auto copy = SegDiffIndex::Open(path, SegDiffOptions{});
+    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+    const SegDiffSizes sizes = (*copy)->GetSizes();
+    EXPECT_EQ(sizes.index_bytes, 0u);
+    EXPECT_EQ(sizes.feature_rows, row_sizes.feature_rows);
+    EXPECT_LT(sizes.file_bytes, row_sizes.file_bytes);
+    EXPECT_TRUE(
+        (*copy)->SearchDrops(3600, -3.0, idx).status().IsInvalidArgument());
+    for (double T : {900.0, 3600.0, 4 * 3600.0}) {
+      auto want_drops = row->SearchDrops(T, -3.0);
+      auto got_drops = (*copy)->SearchDrops(T, -3.0);
+      auto want_jumps = row->SearchJumps(T, 2.0);
+      auto got_jumps = (*copy)->SearchJumps(T, 2.0);
+      ASSERT_TRUE(want_drops.ok() && got_drops.ok());
+      ASSERT_TRUE(want_jumps.ok() && got_jumps.ok());
+      EXPECT_EQ(*got_drops, *want_drops) << "T=" << T;
+      EXPECT_EQ(*got_jumps, *want_jumps) << "T=" << T;
+    }
+  }
+  RemoveTestStore(compact_path);
+  RemoveTestStore(repair_path);
+}
+
 TEST_F(SegDiffIndexTest, DropCachesPreservesResults) {
   auto index = Build(SegDiffOptions{});
   auto warm = index->SearchDrops(3600, -3.0);

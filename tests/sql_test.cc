@@ -341,6 +341,59 @@ TEST_F(EngineTest, PersistsAcrossReopen) {
   EXPECT_EQ(count.rows[0][0].i, 3);
 }
 
+// Compaction converts the all-double table to columnar segments, which
+// carry no index: CREATE INDEX on it is refused without touching the
+// catalog, while the BIGINT table stays in row format with its index.
+TEST_F(EngineTest, CreateIndexOnCompactedTableIsRefused) {
+  MustExecute("CREATE TABLE c (a DOUBLE, b DOUBLE)");
+  MustExecute("CREATE TABLE r (a DOUBLE, n BIGINT)");
+  MustExecute("CREATE INDEX ic ON c (a)");
+  MustExecute("CREATE INDEX ir ON r (a)");
+  for (int i = 0; i < 50; ++i) {
+    char sql[96];
+    std::snprintf(sql, sizeof(sql), "INSERT INTO c VALUES (%d, %d)", i, -i);
+    MustExecute(sql);
+    std::snprintf(sql, sizeof(sql), "INSERT INTO r VALUES (%d, %d)", i, i);
+    MustExecute(sql);
+  }
+  const std::string compact_path = UniqueTestPath("segdiff_sql_compact");
+  RemoveTestStore(compact_path);
+  ASSERT_TRUE(db_->CompactInto(compact_path).ok());
+  engine_.reset();
+  db_.reset();
+  auto db = Database::Open(compact_path, DatabaseOptions{});
+  ASSERT_TRUE(db.ok());
+  db_ = std::move(db).value();
+  engine_ = std::make_unique<Engine>(db_.get());
+
+  const QueryResult before = MustExecute("SHOW TABLES");
+  ASSERT_EQ(before.row_labels, (std::vector<std::string>{"c", "r"}));
+  EXPECT_EQ(before.rows[0][1].i, 0);  // c: columnar, index not copied
+  EXPECT_EQ(before.rows[1][1].i, 1);  // r: row format keeps ir
+  const uint64_t file_bytes = db_->pager()->FileSizeBytes();
+  EXPECT_TRUE(
+      engine_->Execute("CREATE INDEX ic ON c (a)").status().IsNotSupported());
+  const QueryResult after = MustExecute("SHOW TABLES");
+  EXPECT_EQ(after.row_labels, before.row_labels);
+  ASSERT_EQ(after.rows.size(), before.rows.size());
+  for (size_t i = 0; i < after.rows.size(); ++i) {
+    EXPECT_EQ(after.rows[i][0].i, before.rows[i][0].i);
+    EXPECT_EQ(after.rows[i][1].i, before.rows[i][1].i);
+  }
+  EXPECT_EQ(db_->pager()->FileSizeBytes(), file_bytes);
+
+  QueryResult scanned = MustExecute("SELECT COUNT(*) FROM c WHERE a <= 9");
+  EXPECT_EQ(scanned.access_path, "seq_scan");
+  EXPECT_EQ(scanned.rows[0][0].i, 10);
+  QueryResult indexed = MustExecute("SELECT COUNT(*) FROM r WHERE a <= 9");
+  EXPECT_EQ(indexed.access_path, "index_scan(ir)");
+  EXPECT_EQ(indexed.rows[0][0].i, 10);
+
+  engine_.reset();
+  db_.reset();
+  RemoveTestStore(compact_path);
+}
+
 // Fuzz-ish robustness: random byte strings and random token recombinations
 // must never crash the parser — only return error Statuses.
 TEST(ParserFuzzTest, RandomInputsNeverCrash) {

@@ -566,6 +566,7 @@ TEST_F(StorageTest, InMemoryDatabase) {
 TEST_F(StorageTest, CompactReclaimsDeleteGarbage) {
   const std::string compact_path =
       UniqueTestPath("segdiff_storage_compact");
+  const std::string row_path = UniqueTestPath("segdiff_storage_compact_row");
   RemoveTestStore(compact_path);
   {
     auto db = Database::Open(path_, DatabaseOptions{});
@@ -595,17 +596,33 @@ TEST_F(StorageTest, CompactReclaimsDeleteGarbage) {
     auto copy = (*compacted)->GetTable("t");
     ASSERT_TRUE(copy.ok());
     EXPECT_EQ((*copy)->row_count(), live_rows);
-    auto index = (*copy)->GetIndex("k");
-    ASSERT_TRUE(index.ok());
-    EXPECT_EQ((*index)->entry_count(), live_rows);
-    EXPECT_TRUE((*index)->CheckInvariants().ok());
+    // The table went columnar, so its index was not copied.
+    ASSERT_NE((*copy)->columnar(), nullptr);
+    EXPECT_TRUE((*copy)->GetIndex("k").status().IsNotFound());
+    EXPECT_EQ((*compacted)->SizeStats().index_bytes, 0u);
     // Source is untouched.
     auto original = (*db)->GetTable("t");
     EXPECT_EQ((*original)->row_count(), live_rows);
     // Compacting onto a non-empty target is rejected.
     EXPECT_TRUE((*db)->CompactInto(compact_path).IsInvalidArgument());
+
+    // A row-format copy keeps (and rebuilds) its index.
+    RemoveTestStore(row_path);
+    ASSERT_TRUE(
+        (*db)->CompactInto(row_path, CompactOptions{.columnar = false}).ok());
+    auto row_copy = Database::Open(row_path, DatabaseOptions{});
+    ASSERT_TRUE(row_copy.ok());
+    auto row_table = (*row_copy)->GetTable("t");
+    ASSERT_TRUE(row_table.ok());
+    EXPECT_EQ((*row_table)->columnar(), nullptr);
+    EXPECT_EQ((*row_table)->row_count(), live_rows);
+    auto index = (*row_table)->GetIndex("k");
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ((*index)->entry_count(), live_rows);
+    EXPECT_TRUE((*index)->CheckInvariants().ok());
   }
   RemoveTestStore(compact_path);
+  RemoveTestStore(row_path);
 }
 
 TEST_F(StorageTest, SizeStatsSeparateDataAndIndex) {

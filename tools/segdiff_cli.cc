@@ -105,6 +105,9 @@
 //                         found, 3 transient I/O errors kept the check
 //                         from finishing — retry rather than repair)
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -142,8 +145,9 @@ int Fail(const Status& status) {
 }
 
 /// Minimal --flag value parser ("--jump"-style booleans have no value).
-/// A flag no command reads, or a negative or non-numeric count, is an
-/// error(): a typo must not silently run with the default.
+/// A flag no command reads, a count that is not a non-negative integer,
+/// or a number with trailing junk is an error(): a typo must not
+/// silently run with the default (or with the digits before the junk).
 class Flags {
  public:
   static constexpr const char* kBooleanFlags[] = {
@@ -155,7 +159,13 @@ class Flags {
       "--seed",      "--sensor",        "--sensors",     "--shard-sensors",
       "--start-day", "--t-hours",       "--threads",     "--timeout-ms",
       "--v",         "--wal-window-ms", "--window-hours"};
-  static constexpr const char* kCountFlags[] = {"--limit", "--threads"};
+  static constexpr const char* kCountFlags[] = {
+      "--days",    "--limit",      "--max-mem",      "--max-open",
+      "--seed",    "--sensor",     "--sensors",      "--shard-sensors",
+      "--threads", "--timeout-ms", "--wal-window-ms"};
+  static constexpr const char* kNumberFlags[] = {
+      "--eps", "--rate-mbps", "--start-day",
+      "--t-hours", "--v", "--window-hours"};
 
   Flags(int argc, char** argv, int start) {
     for (int i = start; i < argc; ++i) {
@@ -168,14 +178,12 @@ class Flags {
         SetError("unknown flag '" + key + "'");
       }
       values_[key] = i + 1 < argc ? argv[++i] : "";
-      if (IsOneOf(key, kCountFlags)) {
-        const std::string& value = values_[key];
-        char* end = nullptr;
-        const long count = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || *end != '\0' || count < 0) {
-          SetError(key + " must be a non-negative integer (got '" + value +
-                   "')");
-        }
+      const std::string& value = values_[key];
+      if (IsOneOf(key, kCountFlags) && !IsCount(value)) {
+        SetError(key + " must be a non-negative integer (got '" + value +
+                 "')");
+      } else if (IsOneOf(key, kNumberFlags) && !IsFiniteNumber(value)) {
+        SetError(key + " must be a finite number (got '" + value + "')");
       }
     }
   }
@@ -210,6 +218,21 @@ class Flags {
       if (key == name) return true;
     }
     return false;
+  }
+  /// Whole-string parses: digits only (no sign, no junk, fits uint64),
+  /// and one finite number with nothing after it.
+  static bool IsCount(const std::string& value) {
+    char* end = nullptr;
+    errno = 0;
+    std::strtoull(value.c_str(), &end, 10);
+    return !value.empty() &&
+           std::isdigit(static_cast<unsigned char>(value[0])) &&
+           *end == '\0' && errno == 0;
+  }
+  static bool IsFiniteNumber(const std::string& value) {
+    char* end = nullptr;
+    const double number = std::strtod(value.c_str(), &end);
+    return !value.empty() && *end == '\0' && std::isfinite(number);
   }
   void SetError(const std::string& message) {
     if (error_.empty()) error_ = message;
